@@ -1,67 +1,139 @@
 #include "src/analysis/implication.hpp"
 
+#include <cassert>
+
 namespace kms::analysis {
 namespace {
 
-/// Per-call propagation state: three-valued assignment plus a FIFO of
-/// gates whose local rules may fire again.
-struct Prop {
-  const Network& net;
-  Implications out;
-  std::vector<std::int8_t> val;   ///< -1 unknown, else 0/1
+/// Per-thread propagation scratch, sized to the largest network seen on
+/// the thread. Between calls every `val` entry is -1 and every `queued`
+/// entry is 0; a call restores exactly the entries it touched.
+struct Scratch {
+  std::vector<std::int8_t> val;  ///< -1 unknown, else 0/1
   std::vector<char> queued;
   std::vector<GateId> fifo;
+  std::vector<std::int8_t> in;   ///< fanin values of the gate evaluated
+  bool busy = false;
+};
+
+Scratch& thread_scratch() {
+  thread_local Scratch s;
+  return s;
+}
+
+}  // namespace
+
+ImplicationEngine::ImplicationEngine(const Network& net)
+    : capacity_(net.gate_capacity()) {
+  kind_.resize(capacity_);
+  fanin_begin_.reserve(capacity_ + 1);
+  fanout_begin_.reserve(capacity_ + 1);
+  for (std::uint32_t i = 0; i < capacity_; ++i) {
+    const Gate& gt = net.gate(GateId{i});
+    kind_[i] = gt.kind;
+    fanin_begin_.push_back(static_cast<std::uint32_t>(fanin_src_.size()));
+    fanout_begin_.push_back(static_cast<std::uint32_t>(fanout_dst_.size()));
+    if (gt.dead) continue;
+    // Constant gates are facts of the circuit; every closure starts
+    // from them so it (and its recorded assignment list) is
+    // self-contained.
+    if (is_constant(gt.kind))
+      constants_.emplace_back(GateId{i}, gt.kind == GateKind::kConst1);
+    for (ConnId c : gt.fanins) fanin_src_.push_back(net.conn(c).from);
+    for (ConnId c : gt.fanouts)
+      if (!net.conn(c).dead) fanout_dst_.push_back(net.conn(c).to);
+  }
+  fanin_begin_.push_back(static_cast<std::uint32_t>(fanin_src_.size()));
+  fanout_begin_.push_back(static_cast<std::uint32_t>(fanout_dst_.size()));
+}
+
+/// One call's propagation state: the thread's three-valued assignment
+/// plus a FIFO of gates whose local rules may fire again. The destructor
+/// hands the scratch back clean.
+struct ImplicationEngine::Prop {
+  const ImplicationEngine& eng;
+  Implications& out;
+  Scratch& sc;
   std::size_t head = 0;
 
-  explicit Prop(const Network& n)
-      : net(n),
-        val(n.gate_capacity(), -1),
-        queued(n.gate_capacity(), 0) {}
+  Prop(const ImplicationEngine& e, Implications& o)
+      : eng(e), out(o), sc(thread_scratch()) {
+    assert(!sc.busy && "propagate() is not reentrant on one thread");
+    sc.busy = true;
+    if (sc.val.size() < eng.capacity_) {
+      sc.val.resize(eng.capacity_, -1);
+      sc.queued.resize(eng.capacity_, 0);
+    }
+  }
+
+  ~Prop() {
+    for (const auto& [g, v] : out.assigned) sc.val[g.value()] = -1;
+    for (GateId g : sc.fifo) sc.queued[g.value()] = 0;
+    sc.fifo.clear();
+    sc.busy = false;
+  }
+
+  Prop(const Prop&) = delete;
+  Prop& operator=(const Prop&) = delete;
 
   void enqueue(GateId g) {
-    if (queued[g.value()]) return;
-    queued[g.value()] = 1;
-    fifo.push_back(g);
+    if (sc.queued[g.value()]) return;
+    sc.fifo.push_back(g);  // first: the reset walks the FIFO
+    sc.queued[g.value()] = 1;
   }
 
   /// Record g = v; returns false on conflict.
   bool assign(GateId g, bool v) {
-    std::int8_t& slot = val[g.value()];
+    std::int8_t& slot = sc.val[g.value()];
     if (slot == static_cast<std::int8_t>(v)) return true;
     if (slot != -1) {
       out.conflict = true;
       out.conflict_gate = g;
       return false;
     }
+    out.assigned.emplace_back(g, v);  // first: the reset walks `assigned`
     slot = static_cast<std::int8_t>(v);
-    out.assigned.emplace_back(g, v);
     enqueue(g);
-    for (ConnId c : net.gate(g).fanouts)
-      if (!net.conn(c).dead) enqueue(net.conn(c).to);
+    for (std::uint32_t k = eng.fanout_begin_[g.value()];
+         k < eng.fanout_begin_[g.value() + 1]; ++k)
+      enqueue(eng.fanout_dst_[k]);
     return true;
+  }
+
+  /// Close `seeds` (after the constants) under the rules.
+  void run(const std::vector<std::pair<GateId, bool>>& seeds) {
+    for (const auto& [g, v] : eng.constants_)
+      if (!assign(g, v)) return;
+    for (const auto& [g, v] : seeds)
+      if (!assign(g, v)) return;
+    while (head < sc.fifo.size()) {
+      const GateId g = sc.fifo[head++];
+      sc.queued[g.value()] = 0;
+      if (!evaluate(g)) return;
+    }
   }
 
   /// Run the forward and backward rules of one gate. Returns false on
   /// conflict.
   bool evaluate(GateId g) {
-    const Gate& gt = net.gate(g);
-    const GateKind k = gt.kind;
+    const GateKind k = eng.kind_[g.value()];
     if (k == GateKind::kInput || is_constant(k)) return true;
 
     // Gather fanin values in pin order.
-    std::vector<std::int8_t> in;
-    in.reserve(gt.fanins.size());
+    const GateId* src = eng.fanin_src_.data() + eng.fanin_begin_[g.value()];
+    const std::size_t n =
+        eng.fanin_begin_[g.value() + 1] - eng.fanin_begin_[g.value()];
+    std::vector<std::int8_t>& in = sc.in;
+    in.clear();
     std::size_t known = 0;
-    for (ConnId c : gt.fanins) {
-      const std::int8_t v = val[net.conn(c).from.value()];
+    for (std::size_t p = 0; p < n; ++p) {
+      const std::int8_t v = sc.val[src[p].value()];
       in.push_back(v);
       if (v != -1) ++known;
     }
-    const std::int8_t ov = val[g.value()];
+    const std::int8_t ov = sc.val[g.value()];
     auto set_out = [&](bool v) { return assign(g, v); };
-    auto set_in = [&](std::size_t pin, bool v) {
-      return assign(net.conn(gt.fanins[pin]).from, v);
-    };
+    auto set_in = [&](std::size_t pin, bool v) { return assign(src[pin], v); };
 
     if (k == GateKind::kBuf || k == GateKind::kNot ||
         k == GateKind::kOutput) {
@@ -142,27 +214,14 @@ struct Prop {
   }
 };
 
-}  // namespace
-
 Implications ImplicationEngine::propagate(
     const std::vector<std::pair<GateId, bool>>& seeds) const {
-  Prop p(net_);
-  // Constant gates are facts of the circuit; seed them first so the
-  // closure (and its recorded assignment list) is self-contained.
-  for (std::uint32_t i = 0; i < net_.gate_capacity(); ++i) {
-    const GateId g{i};
-    const Gate& gt = net_.gate(g);
-    if (gt.dead || !is_constant(gt.kind)) continue;
-    if (!p.assign(g, gt.kind == GateKind::kConst1)) return std::move(p.out);
+  Implications out;
+  {
+    Prop p(*this, out);
+    p.run(seeds);
   }
-  for (const auto& [g, v] : seeds)
-    if (!p.assign(g, v)) return std::move(p.out);
-  while (p.head < p.fifo.size()) {
-    const GateId g = p.fifo[p.head++];
-    p.queued[g.value()] = 0;
-    if (!p.evaluate(g)) return std::move(p.out);
-  }
-  return std::move(p.out);
+  return out;
 }
 
 }  // namespace kms::analysis

@@ -41,18 +41,32 @@ struct Implications {
   }
 };
 
+/// Cost model: construction is O(network) — it collects the live
+/// constant gates and flattens fanins/fanouts once. A propagate() call
+/// costs O(closure): it touches only the gates it assigns or queues
+/// (plus their fanin/fanout lists) and resets only those afterwards.
 class ImplicationEngine {
  public:
   /// The network must stay structurally unchanged while the engine is
-  /// in use. The engine is stateless across calls and safe to share
-  /// between threads (propagate() uses only local scratch).
-  explicit ImplicationEngine(const Network& net) : net_(net) {}
+  /// in use. The engine itself is immutable after construction and safe
+  /// to share between threads: propagate() keeps its three-valued
+  /// assignment and work queue in per-thread scratch, restored to clean
+  /// before it returns.
+  explicit ImplicationEngine(const Network& net);
 
   Implications propagate(
       const std::vector<std::pair<GateId, bool>>& seeds) const;
 
  private:
-  const Network& net_;
+  struct Prop;  ///< one call's propagation state (implication.cpp)
+
+  std::uint32_t capacity_ = 0;  ///< gate capacity of the network
+  std::vector<std::pair<GateId, bool>> constants_;  ///< live, id order
+  std::vector<GateKind> kind_;                 ///< by gate id
+  std::vector<std::uint32_t> fanin_begin_;     ///< CSR by gate id
+  std::vector<GateId> fanin_src_;              ///< sources, pin order
+  std::vector<std::uint32_t> fanout_begin_;    ///< CSR by gate id
+  std::vector<GateId> fanout_dst_;             ///< sinks of live conns
 };
 
 }  // namespace kms::analysis

@@ -93,27 +93,31 @@ StaticResult StaticUntestable::analyze_branch(ConnId c, bool stuck) const {
 StaticResult StaticUntestable::analyze(GateId source, GateId entry,
                                        ConnId fault_conn, bool stuck) const {
   StaticResult res;
-  std::string site;
-  if (fault_conn.is_valid()) {
-    // Live pin index of the faulty connection at its sink — the
-    // snapshot numbering the checker will see.
-    std::uint32_t pin = 0, fault_pin = 0;
-    for (ConnId c : net_.gate(entry).fanins) {
-      if (net_.conn(c).dead) continue;
-      if (c == fault_conn) fault_pin = pin;
-      ++pin;
+  // The justification text is formatted only once a rule fires: most
+  // faults hit no rule, and they must not pay for the strings.
+  auto head = [&] {
+    std::string site;
+    if (fault_conn.is_valid()) {
+      // Live pin index of the faulty connection at its sink — the
+      // snapshot numbering the checker will see.
+      std::uint32_t pin = 0, fault_pin = 0;
+      for (ConnId c : net_.gate(entry).fanins) {
+        if (net_.conn(c).dead) continue;
+        if (c == fault_conn) fault_pin = pin;
+        ++pin;
+      }
+      site = str_format("site=branch:%u.%u", snap_index_[entry.value()],
+                        fault_pin);
+    } else {
+      site = str_format("site=stem:%u", snap_index_[source.value()]);
     }
-    site = str_format("site=branch:%u.%u", snap_index_[entry.value()],
-                      fault_pin);
-  } else {
-    site = str_format("site=stem:%u", snap_index_[source.value()]);
-  }
-  const std::string head = site + str_format(" stuck=%d", stuck ? 1 : 0);
+    return site + str_format(" stuck=%d", stuck ? 1 : 0);
+  };
 
   // Rule 1: no live path from the fault site to any primary output.
   if (!dom_.reaches_output(entry)) {
     res.verdict = StaticVerdict::kUnobservable;
-    res.justification = head + " kind=unobservable";
+    res.justification = head() + " kind=unobservable";
     return res;
   }
 
@@ -124,8 +128,8 @@ StaticResult StaticUntestable::analyze(GateId source, GateId entry,
   if (exc.conflict) {
     res.verdict = StaticVerdict::kUnexcitable;
     res.justification =
-        head + str_format(" kind=unexcitable conflict=%u",
-                          snap_index_[exc.conflict_gate.value()]);
+        head() + str_format(" kind=unexcitable conflict=%u",
+                            snap_index_[exc.conflict_gate.value()]);
     return res;
   }
 
@@ -136,11 +140,14 @@ StaticResult StaticUntestable::analyze(GateId source, GateId entry,
   for (GateId d : dom_.chain(entry)) doms.push_back(d);
   if (doms.empty()) return res;
 
-  std::string doms_csv;
-  for (GateId d : doms) {
-    if (!doms_csv.empty()) doms_csv += ",";
-    doms_csv += str_format("%u", snap_index_[d.value()]);
-  }
+  auto doms_csv = [&] {
+    std::string csv;
+    for (GateId d : doms) {
+      if (!csv.empty()) csv += ",";
+      csv += str_format("%u", snap_index_[d.value()]);
+    }
+    return csv;
+  };
 
   const std::vector<char> cone = mark_cone(net_, entry);
   const std::vector<Side> sides = outside_sides(net_, doms, cone, fault_conn);
@@ -150,11 +157,11 @@ StaticResult StaticUntestable::analyze(GateId source, GateId entry,
     if (exc.implies(s.source, cv)) {
       res.verdict = StaticVerdict::kBlocked;
       res.justification =
-          head + str_format(" kind=blocked mode=direct dom=%u side=%u "
-                            "impl=%u:%d doms=%s",
-                            snap_index_[s.dom.value()], s.pin,
-                            snap_index_[s.source.value()], cv ? 1 : 0,
-                            doms_csv.c_str());
+          head() + str_format(" kind=blocked mode=direct dom=%u side=%u "
+                              "impl=%u:%d doms=%s",
+                              snap_index_[s.dom.value()], s.pin,
+                              snap_index_[s.source.value()], cv ? 1 : 0,
+                              doms_csv().c_str());
       return res;
     }
   }
@@ -165,19 +172,20 @@ StaticResult StaticUntestable::analyze(GateId source, GateId entry,
   // necessary condition — a conflict proves untestability.
   if (!sides.empty()) {
     std::vector<std::pair<GateId, bool>> seeds{{source, act}};
-    std::string sides_csv;
-    for (const Side& s : sides) {
+    for (const Side& s : sides)
       seeds.emplace_back(s.source,
                          noncontrolling_value(net_.gate(s.dom).kind));
-      if (!sides_csv.empty()) sides_csv += ",";
-      sides_csv += str_format("%u.%u", snap_index_[s.dom.value()], s.pin);
-    }
     const Implications joint = imp_.propagate(seeds);
     if (joint.conflict) {
+      std::string sides_csv;
+      for (const Side& s : sides) {
+        if (!sides_csv.empty()) sides_csv += ",";
+        sides_csv += str_format("%u.%u", snap_index_[s.dom.value()], s.pin);
+      }
       res.verdict = StaticVerdict::kBlocked;
       res.justification =
-          head + str_format(" kind=blocked mode=indirect sides=%s doms=%s",
-                            sides_csv.c_str(), doms_csv.c_str());
+          head() + str_format(" kind=blocked mode=indirect sides=%s doms=%s",
+                              sides_csv.c_str(), doms_csv().c_str());
       return res;
     }
   }

@@ -5,6 +5,11 @@
 // cheaply mark detectable faults so that exact (SAT) ATPG effort is spent
 // only on the hard survivors — the classic fault-sim-then-ATPG flow of
 // redundancy identification tools like [22] (Schulz–Auth).
+//
+// The kernel is event-driven over a flat, levelized copy of the network
+// taken at construction (see DESIGN.md §11, "Fault simulation kernel"):
+// a fault's effect is pushed only through gates whose faulty word
+// differs from the good one, in topological-position order.
 #pragma once
 
 #include <cstdint>
@@ -28,7 +33,9 @@ class FaultSimulator {
       const std::vector<std::uint64_t>& pi_words);
 
   /// Convenience: which of `faults` are detected by `words` sets of 64
-  /// random patterns each. An optional governor is consulted between
+  /// random patterns each. A fault is dropped from the words after the
+  /// one that detects it; the rng draws do not depend on detections. An
+  /// optional governor is consulted between
   /// words: on exhaustion the simulation stops early and the partial
   /// detection set is returned (sound — every mark is a real detection;
   /// an unsimulated word can only cost extra exact-ATPG effort later).
@@ -40,11 +47,23 @@ class FaultSimulator {
 
  private:
   const Network& net_;
-  std::vector<GateId> order_;
-  std::vector<std::uint64_t> good_;
-  std::vector<std::uint64_t> faulty_;
-  std::vector<std::uint32_t> stamp_;  // faulty_ validity stamp
-  std::uint32_t current_stamp_ = 0;
+  // Flat layout, indexed by topological position (inputs and constants
+  // first, the order of Network::topo_order()).
+  std::vector<GateKind> kind_;
+  std::vector<std::uint32_t> fanin_begin_;   ///< CSR offsets, size n+1
+  std::vector<std::uint32_t> fanin_src_;     ///< source positions, pin order
+  std::vector<std::uint32_t> fanout_begin_;  ///< CSR offsets, size n+1
+  std::vector<std::uint32_t> fanout_dst_;    ///< sink positions (live conns)
+  std::vector<char> is_output_;
+  std::vector<std::uint32_t> pos_;        ///< gate id -> position
+  std::vector<std::uint32_t> input_pos_;  ///< inputs()[i] -> position
+  // Per-call scratch (this is why one simulator serves one thread).
+  std::vector<std::uint64_t> good_;   ///< good-machine word per position
+  std::vector<std::uint64_t> value_;  ///< good_ overlaid with one fault
+  std::vector<std::uint32_t> touched_;  ///< positions value_ differs at
+  std::vector<std::uint32_t> queued_;   ///< event-queue stamp per position
+  std::vector<std::uint32_t> heap_;     ///< min-heap of scheduled positions
+  std::uint32_t stamp_ = 0;
 };
 
 /// Fraction of `faults` detected by the given test set (each entry is a

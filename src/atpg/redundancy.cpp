@@ -7,6 +7,7 @@
 #include <memory>
 #include <numeric>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "src/analysis/snapshot.hpp"
@@ -74,10 +75,12 @@ enum FaultState : std::uint8_t {
 /// Mark cache hits and run the random-simulation pre-drop for one pass.
 /// Mutates `state` (kUndecided -> kKnownTestable), the cache, and the
 /// coordinator-side counters. Shared by both engines; consumes main-rng
-/// draws dependent only on (inputs, random_words).
+/// draws dependent only on (inputs, random_words). `sim` is the pass's
+/// simulator over `net`, built here on first use.
 void predrop_pass(const Network& net, const std::vector<Fault>& faults,
                   const RedundancyRemovalOptions& opts, ResourceGovernor* gov,
                   ShardedFaultCache& cache, Rng& rng,
+                  std::optional<FaultSimulator>& sim,
                   std::vector<std::uint8_t>& state,
                   RedundancyRemovalResult& result) {
   if (opts.incremental) {
@@ -90,7 +93,7 @@ void predrop_pass(const Network& net, const std::vector<Fault>& faults,
   }
   if (!opts.use_fault_sim || faults.empty() || net.inputs().empty()) return;
   const auto t0 = Clock::now();
-  FaultSimulator sim(net);
+  if (!sim) sim.emplace(net);
   std::vector<Fault> pending;
   std::vector<std::size_t> idx;
   for (std::size_t i = 0; i < faults.size(); ++i) {
@@ -100,7 +103,7 @@ void predrop_pass(const Network& net, const std::vector<Fault>& faults,
   }
   if (!pending.empty()) {
     const std::vector<bool> detected =
-        sim.detect_random(pending, opts.random_words, rng, gov);
+        sim->detect_random(pending, opts.random_words, rng, gov);
     for (std::size_t k = 0; k < pending.size(); ++k) {
       if (!detected[k]) continue;
       state[idx[k]] = kKnownTestable;
@@ -207,12 +210,14 @@ RedundancyRemovalResult remove_sequential(Network& net,
     ++result.passes;
     const auto faults = collapsed_faults(net);
     std::vector<std::uint8_t> state(faults.size(), kUndecided);
-    predrop_pass(net, faults, opts, gov, cache, rng, state, result);
+    // One simulator per pass serves the pre-drop and the witness sweep:
+    // the network does not change until the pass commits.
+    std::optional<FaultSimulator> sim;
+    predrop_pass(net, faults, opts, gov, cache, rng, sim, state, result);
     const std::vector<std::size_t> order =
         scan_order(faults.size(), opts.order, rng);
     Rng wrng = witness_rng(opts.seed, result.passes, 0);
     RemovalWorkerStats ws;
-    std::optional<FaultSimulator> sim;
     Atpg atpg(net, ctx);
     std::unique_ptr<StaticOracle> oracle;
     if (opts.static_prepass) {
@@ -331,7 +336,13 @@ RedundancyRemovalResult remove_parallel(Network& net,
     const auto faults = collapsed_faults(net);
     const std::size_t n = faults.size();
     std::vector<std::uint8_t> seed_state(n, kUndecided);
-    predrop_pass(net, faults, opts, gov, cache, rng, seed_state, result);
+    {
+      // The coordinator's simulator serves the pre-drop only: each
+      // worker builds its own, since a simulator holds mutable scratch.
+      std::optional<FaultSimulator> sim;
+      predrop_pass(net, faults, opts, gov, cache, rng, sim, seed_state,
+                   result);
+    }
     // One static oracle per pass, shared read-only by all workers (the
     // lookups are const and the verdicts are scan-order independent).
     std::unique_ptr<StaticOracle> oracle;
@@ -353,9 +364,11 @@ RedundancyRemovalResult remove_parallel(Network& net,
     std::atomic<bool> aborted{false};
     TicketQueue tickets(n);
     std::vector<RemovalWorkerStats> wstats(pool.size());
-    // Witness-dropped fault indices per worker, journalled (sorted) at
-    // the pass barrier when a session is attached.
-    std::vector<std::vector<std::size_t>> wdrops(pool.size());
+    // Witness drops per worker as (fault index, scan rank of the
+    // witness's fault), journalled (sorted) at the pass barrier when a
+    // session is attached.
+    std::vector<std::vector<std::pair<std::size_t, std::size_t>>> wdrops(
+        pool.size());
 
     // Snapshot the pass index for worker rng seeding: workers must not
     // read the coordinator-owned result struct.
@@ -434,7 +447,7 @@ RedundancyRemovalResult remove_parallel(Network& net,
                     std::memory_order_relaxed)) {
               ++ws.witness_dropped;
               cache.insert(pending[m], fault_source(net, pending[m]));
-              wdrops[w].push_back(idx[m]);
+              wdrops[w].emplace_back(idx[m], k);
             }
           }
         }
@@ -447,9 +460,16 @@ RedundancyRemovalResult remove_parallel(Network& net,
     for (std::size_t w = 0; w < wstats.size(); ++w)
       result.merge_worker(wstats[w]);
     if (session) {
+      // Only witnesses ranked before the committed fault count: the
+      // sequential scan never reaches a fault past it, so a drop made by
+      // speculating there would make the journal depend on the schedule.
+      // (Such drops still feed the cache; they are real detections.)
+      const std::size_t commit_rank =
+          best_rank.load(std::memory_order_relaxed);
       std::vector<std::size_t> drops;
-      for (const auto& d : wdrops) drops.insert(drops.end(), d.begin(),
-                                                d.end());
+      for (const auto& d : wdrops)
+        for (const auto& [i, witness_rank] : d)
+          if (witness_rank < commit_rank) drops.push_back(i);
       std::sort(drops.begin(), drops.end());
       for (std::size_t i : drops)
         session->journal.add_fault_sim_testable(format_fault(net, faults[i]));

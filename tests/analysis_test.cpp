@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -19,6 +20,7 @@
 #include "src/analysis/scoap.hpp"
 #include "src/analysis/snapshot.hpp"
 #include "src/atpg/fault.hpp"
+#include "src/base/rng.hpp"
 #include "src/check/diagnostics.hpp"
 #include "src/gen/adders.hpp"
 #include "src/gen/random_logic.hpp"
@@ -243,6 +245,231 @@ TEST(AnalysisImplicationTest, ClosureIsDeterministic) {
       EXPECT_EQ(r1.assigned, r2.assigned);
     }
   }
+}
+
+// Reference closure for the derivation-order contract: the same rules
+// in the same FIFO order, written directly over the Network with
+// whole-capacity scratch allocated per call and the constants found by
+// a full scan. The engine's `assigned` order and `conflict_gate` must
+// equal it exactly — static justifications embed conflict= and certify
+// journals depend on them.
+class ReferenceClosure {
+ public:
+  ReferenceClosure(const Network& net,
+                   const std::vector<std::pair<GateId, bool>>& seeds)
+      : net_(net), val_(net.gate_capacity(), -1),
+        queued_(net.gate_capacity(), 0) {
+    for (std::uint32_t i = 0; i < net.gate_capacity(); ++i) {
+      const Gate& gt = net.gate(GateId{i});
+      if (gt.dead || !is_constant(gt.kind)) continue;
+      if (!assign(GateId{i}, gt.kind == GateKind::kConst1)) return;
+    }
+    for (const auto& [g, v] : seeds)
+      if (!assign(g, v)) return;
+    for (std::size_t head = 0; head < fifo_.size();) {
+      const GateId g = fifo_[head++];
+      queued_[g.value()] = 0;
+      if (!evaluate(g)) return;
+    }
+  }
+
+  analysis::Implications out;
+
+ private:
+  void enqueue(GateId g) {
+    if (queued_[g.value()]) return;
+    queued_[g.value()] = 1;
+    fifo_.push_back(g);
+  }
+
+  bool assign(GateId g, bool v) {
+    int& slot = val_[g.value()];
+    if (slot == static_cast<int>(v)) return true;
+    if (slot != -1) {
+      out.conflict = true;
+      out.conflict_gate = g;
+      return false;
+    }
+    slot = v;
+    out.assigned.emplace_back(g, v);
+    enqueue(g);
+    for (ConnId c : net_.gate(g).fanouts)
+      if (!net_.conn(c).dead) enqueue(net_.conn(c).to);
+    return true;
+  }
+
+  bool evaluate(GateId g) {
+    const Gate& gt = net_.gate(g);
+    const GateKind k = gt.kind;
+    if (k == GateKind::kInput || is_constant(k)) return true;
+    std::vector<int> in;
+    std::size_t known = 0;
+    for (ConnId c : gt.fanins) {
+      in.push_back(val_[net_.conn(c).from.value()]);
+      if (in.back() != -1) ++known;
+    }
+    const int ov = val_[g.value()];
+    auto set_in = [&](std::size_t pin, bool v) {
+      return assign(net_.conn(gt.fanins[pin]).from, v);
+    };
+    auto open_pin = [&] {
+      std::size_t open = 0;
+      for (std::size_t p = 0; p < in.size(); ++p)
+        if (in[p] == -1) open = p;
+      return open;
+    };
+    if (k == GateKind::kBuf || k == GateKind::kNot ||
+        k == GateKind::kOutput) {
+      const bool inv = k == GateKind::kNot;
+      if (in[0] != -1 && !assign(g, (in[0] == 1) != inv)) return false;
+      return ov == -1 || set_in(0, (ov == 1) != inv);
+    }
+    if (has_controlling_value(k)) {
+      const int cv = controlling_value(k);
+      const bool inv = is_inverting(k);
+      const bool any_cv = std::count(in.begin(), in.end(), cv) > 0;
+      if (any_cv && !assign(g, (cv == 1) != inv)) return false;
+      if (!any_cv && known == in.size() && !assign(g, (cv == 0) != inv))
+        return false;
+      if (ov == -1) return true;
+      if (static_cast<int>((ov == 1) != inv) != cv) {
+        for (std::size_t p = 0; p < in.size(); ++p)
+          if (!set_in(p, cv == 0)) return false;
+      } else if (known + 1 == in.size() &&
+                 std::count(in.begin(), in.end(), cv) == 0) {
+        return set_in(open_pin(), cv == 1);
+      }
+      return true;
+    }
+    if (k == GateKind::kXor || k == GateKind::kXnor) {
+      const bool inv = k == GateKind::kXnor;
+      bool parity = false;
+      for (int v : in) parity ^= v == 1;
+      if (known == in.size()) return assign(g, parity != inv);
+      if (known + 1 == in.size() && ov != -1)
+        return set_in(open_pin(), ((ov == 1) != inv) != parity);
+      return true;
+    }
+    if (k == GateKind::kMux) {
+      const int s = in[0], a = in[1], b = in[2];
+      if (s != -1) {
+        const std::size_t sel = s == 1 ? 1 : 2;
+        if (in[sel] != -1 && !assign(g, in[sel] == 1)) return false;
+        if (ov != -1 && !set_in(sel, ov == 1)) return false;
+      }
+      if (a != -1 && b != -1) {
+        if (a == b && !assign(g, a == 1)) return false;
+        if (a != b && ov != -1 && !set_in(0, ov == a)) return false;
+      }
+    }
+    return true;
+  }
+
+  const Network& net_;
+  std::vector<int> val_;
+  std::vector<char> queued_;
+  std::vector<GateId> fifo_;
+};
+
+void expect_same_closure(const analysis::Implications& got,
+                         const analysis::Implications& want) {
+  EXPECT_EQ(got.conflict, want.conflict);
+  EXPECT_EQ(got.conflict_gate, want.conflict_gate);
+  EXPECT_EQ(got.assigned, want.assigned);
+}
+
+/// A random circuit after surgery: constants from set_conn_constant,
+/// then a sweep that leaves dead gates behind.
+Network surgered_network(std::uint64_t seed, std::size_t gates) {
+  RandomNetworkOptions opts;
+  opts.seed = seed;
+  opts.gates = gates;
+  Network net = random_network(opts);
+  Rng pick(seed);
+  for (int k = 0; k < 3; ++k) {
+    std::vector<ConnId> live;
+    for (std::uint32_t i = 0; i < net.conn_capacity(); ++i) {
+      const Conn& c = net.conn(ConnId{i});
+      if (!c.dead && net.gate(c.to).kind != GateKind::kOutput &&
+          !is_constant(net.gate(c.from).kind))
+        live.push_back(ConnId{i});
+    }
+    if (live.empty()) break;
+    net.set_conn_constant(live[pick.next_below(live.size())],
+                          pick.next_below(2) == 1);
+  }
+  net.sweep();
+  return net;
+}
+
+/// Seed sets over the live gates: every single literal, then random
+/// pairs and triples (which often conflict and return early).
+std::vector<std::vector<std::pair<GateId, bool>>> seed_sets(
+    const Network& net, std::uint64_t seed) {
+  const std::vector<GateId> live = net.topo_order();
+  std::vector<std::vector<std::pair<GateId, bool>>> sets;
+  for (GateId g : live)
+    for (bool v : {false, true}) sets.push_back({{g, v}});
+  Rng rng(seed);
+  for (int k = 0; k < 40; ++k) {
+    std::vector<std::pair<GateId, bool>> s;
+    for (int j = 0; j < 2 + k % 2; ++j)
+      s.emplace_back(live[rng.next_below(live.size())],
+                     rng.next_below(2) == 1);
+    sets.push_back(std::move(s));
+  }
+  return sets;
+}
+
+TEST(AnalysisImplicationTest, DerivationOrderMatchesReference) {
+  std::size_t conflicts = 0;
+  for (std::uint64_t seed = 1; seed <= 25; ++seed) {
+    const Network net = surgered_network(seed, 30 + seed);
+    const ImplicationEngine imp(net);
+    for (const auto& seeds : seed_sets(net, seed)) {
+      const auto got = imp.propagate(seeds);
+      conflicts += got.conflict;
+      expect_same_closure(got, ReferenceClosure(net, seeds).out);
+    }
+  }
+  EXPECT_GT(conflicts, 0u) << "no call exercised the early conflict return";
+}
+
+TEST(AnalysisImplicationTest, InterleavedCallsEqualAFreshEngine) {
+  // A small network, then a larger one, interleaved on one thread with
+  // one long-lived engine each: per-thread scratch must come back clean
+  // after every call (conflicts included) and grow with the network.
+  const Network small = surgered_network(7, 12);
+  const Network large = surgered_network(8, 120);
+  ASSERT_LT(small.gate_capacity(), large.gate_capacity());
+  const auto small_sets = seed_sets(small, 1);
+  const auto large_sets = seed_sets(large, 2);
+
+  // Expected closures from fresh engines on a fresh thread (fresh
+  // scratch), one engine per call.
+  std::vector<analysis::Implications> small_want, large_want;
+  std::thread([&] {
+    for (const auto& s : small_sets)
+      small_want.push_back(ImplicationEngine(small).propagate(s));
+    for (const auto& s : large_sets)
+      large_want.push_back(ImplicationEngine(large).propagate(s));
+  }).join();
+
+  std::thread([&] {
+    const ImplicationEngine imp_small(small);
+    for (std::size_t i = 0; i < small_sets.size(); ++i)
+      expect_same_closure(imp_small.propagate(small_sets[i]), small_want[i]);
+    const ImplicationEngine imp_large(large);
+    for (std::size_t round = 0; round < 2; ++round) {
+      for (std::size_t i = 0; i < large_sets.size(); ++i) {
+        expect_same_closure(imp_large.propagate(large_sets[i]),
+                            large_want[i]);
+        const std::size_t j = i % small_sets.size();
+        expect_same_closure(imp_small.propagate(small_sets[j]),
+                            small_want[j]);
+      }
+    }
+  }).join();
 }
 
 // ---- SCOAP ---------------------------------------------------------------

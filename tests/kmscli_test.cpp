@@ -26,9 +26,12 @@
 namespace kms {
 namespace {
 
+/// Per-process temp file: ctest runs each case as its own process, and
+/// cases running in parallel must not share a path.
 std::string temp_path(const std::string& name) {
   const char* dir = std::getenv("TMPDIR");
-  return std::string(dir ? dir : "/tmp") + "/" + name;
+  return std::string(dir ? dir : "/tmp") + "/" + name + "." +
+         std::to_string(::getpid());
 }
 
 int run_cli(const std::string& args) {

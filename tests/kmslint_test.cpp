@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <cstdlib>
@@ -18,9 +19,12 @@
 namespace kms {
 namespace {
 
+/// Per-process temp file: ctest runs each case as its own process, and
+/// cases running in parallel must not share a path.
 std::string temp_path(const std::string& name) {
   const char* dir = std::getenv("TMPDIR");
-  return std::string(dir ? dir : "/tmp") + "/" + name;
+  return std::string(dir ? dir : "/tmp") + "/" + name + "." +
+         std::to_string(::getpid());
 }
 
 void write_file(const std::string& path, const std::string& text) {

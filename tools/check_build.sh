@@ -19,6 +19,14 @@ ctest --preset checked -j "$(nproc)" "$@"
 echo "== fault-injection property tests (checked preset) =="
 ctest --preset checked -R "FaultInjection" --output-on-failure
 
+# Temp-file isolation stage: the kmslint and kmscli end-to-end cases each
+# run as their own ctest process and write capture/input files under
+# $TMPDIR. Run them wide and repeatedly so two cases sharing a path
+# shows up as a failure here rather than as a rare flake.
+echo "== kmslint/kmscli e2e under ctest -j8, repeated (checked preset) =="
+ctest --preset checked -j8 --repeat until-fail:3 -R 'Kmslint|Kmscli' \
+  --output-on-failure
+
 # Certificate pipeline stage: run the whole proof surface (DRAT checker,
 # journal, session verification, encoder cross-check) under the
 # sanitizers, then certify a real run over every example netlist with the
