@@ -6,12 +6,9 @@
 // Modes:
 //   bench_atpg                      audit table (fault counts, drop
 //                                   rates, solver throughput)
-//   bench_atpg --json <path>        three-way removal-engine comparison
-//                                   (seed / incremental / static+
-//                                   incremental, the last with the
-//                                   SAT-free static untestability
-//                                   pre-pass on), written as
-//                                   kms-bench-atpg-v2 JSON (schema
+//   bench_atpg --json <path>        two-way removal-engine comparison
+//                                   (seed / incremental), written as
+//                                   kms-bench-atpg-v3 JSON (schema
 //                                   documented in DESIGN.md §11)
 //   bench_atpg --json <path> --quick
 //                                   same, smallest circuit only (the CI
@@ -98,11 +95,10 @@ struct EngineRun {
 };
 
 EngineRun run_engine(const Network& net, bool incremental,
-                     unsigned jobs = 1, bool static_prepass = false) {
+                     unsigned jobs = 1) {
   Network copy = net.clone_compact();
   RedundancyRemovalOptions opts;
   opts.incremental = incremental;
-  opts.static_prepass = static_prepass;
   opts.context.jobs = jobs;
   // The comparison isolates exact-ATPG load: random-pattern pre-drop is
   // off for both engines (it hides the query counts behind stimulus
@@ -126,7 +122,6 @@ void write_engine(std::FILE* out, const char* key, const EngineRun& run) {
       out,
       "      \"%s\": {\"removed\": %zu, \"passes\": %zu, "
       "\"sat_queries\": %zu, \"structural_shortcuts\": %zu, "
-      "\"static_discharged\": %zu, "
       "\"sim_dropped\": %zu, \"witness_dropped\": %zu, "
       "\"cache_hits\": %zu, \"cache_invalidated\": %zu, "
       "\"unknown_queries\": %zu, \"aborted\": %s, \"jobs\": %u, "
@@ -134,8 +129,7 @@ void write_engine(std::FILE* out, const char* key, const EngineRun& run) {
       "\"sat_conflicts\": %llu, \"cone_gates_avg\": %.2f, "
       "\"max_cone_gates\": %llu, \"seconds\": %.6f}",
       key, run.r.removed, run.r.passes, run.r.sat_queries,
-      run.r.structural_shortcuts, run.r.static_discharged, run.r.sim_dropped,
-      run.r.witness_dropped,
+      run.r.structural_shortcuts, run.r.sim_dropped, run.r.witness_dropped,
       run.r.cache_hits, run.r.cache_invalidated, run.r.unknown_queries,
       run.r.aborted ? "true" : "false", run.jobs,
       static_cast<unsigned long long>(run.digest),
@@ -146,27 +140,9 @@ void write_engine(std::FILE* out, const char* key, const EngineRun& run) {
       static_cast<unsigned long long>(a.max_cone_gates), run.seconds);
 }
 
-/// Statically redundant blocks: y_i = a_i AND (a_i AND b_i). The
-/// direct a_i branch into the outer AND is untestable stuck-at-1 and
-/// the static "blocked" rule proves it SAT-free, so the static engine
-/// column shows a removal pipeline running at zero SAT queries here —
-/// the sharp end of the pre-pass comparison.
-Network statred_blocks(std::size_t blocks) {
-  Network net("statred_" + std::to_string(blocks));
-  for (std::size_t i = 0; i < blocks; ++i) {
-    const GateId a = net.add_input("a" + std::to_string(i));
-    const GateId b = net.add_input("b" + std::to_string(i));
-    const GateId x = net.add_gate(GateKind::kAnd, {a, b}, 1.0);
-    const GateId y = net.add_gate(GateKind::kAnd, {a, x}, 1.0);
-    net.add_output("y" + std::to_string(i), y);
-  }
-  return net;
-}
-
 int run_json(const std::string& path, bool quick) {
   std::vector<std::pair<std::string, Network>> circuits;
   circuits.emplace_back("csa_8_2", carry_skip_adder(8, 2));
-  circuits.emplace_back("statred_8", statred_blocks(8));
   if (!quick) {
     circuits.emplace_back("csa_16_4", carry_skip_adder(16, 4));
     circuits.emplace_back("rca_16", ripple_carry_adder(16));
@@ -179,7 +155,7 @@ int run_json(const std::string& path, bool quick) {
     std::fprintf(stderr, "bench_atpg: cannot write %s\n", path.c_str());
     return 2;
   }
-  std::fprintf(out, "{\n  \"schema\": \"kms-bench-atpg-v2\",\n");
+  std::fprintf(out, "{\n  \"schema\": \"kms-bench-atpg-v3\",\n");
   std::fprintf(out, "  \"circuits\": [\n");
   bool failed = false;
   for (std::size_t c = 0; c < circuits.size(); ++c) {
@@ -191,11 +167,8 @@ int run_json(const std::string& path, bool quick) {
                  circuits[c].first.c_str(), gates, faults);
     const EngineRun seed = run_engine(net, /*incremental=*/false);
     const EngineRun inc = run_engine(net, /*incremental=*/true);
-    const EngineRun stat = run_engine(net, /*incremental=*/true, /*jobs=*/1,
-                                      /*static_prepass=*/true);
-    const bool match = seed.r.removed == inc.r.removed &&
-                       inc.r.removed == stat.r.removed &&
-                       seed.digest == inc.digest && inc.digest == stat.digest;
+    const bool match =
+        seed.r.removed == inc.r.removed && seed.digest == inc.digest;
     if (!match) failed = true;
     const double ratio =
         static_cast<double>(seed.r.sat_queries) /
@@ -207,8 +180,6 @@ int run_json(const std::string& path, bool quick) {
     write_engine(out, "seed", seed);
     std::fprintf(out, ",\n");
     write_engine(out, "incremental", inc);
-    std::fprintf(out, ",\n");
-    write_engine(out, "static", stat);
     std::fprintf(out, "\n     },\n");
     std::fprintf(out, "     \"removed_match\": %s, "
                       "\"sat_query_ratio\": %.3f}%s\n",
@@ -217,12 +188,10 @@ int run_json(const std::string& path, bool quick) {
     std::fprintf(stderr,
                  "  seed: %zu removed, %zu sat queries, %.3fs | "
                  "incremental: %zu removed, %zu sat queries, %.3fs "
-                 "(ratio %.2fx) | static: %zu removed, %zu sat queries "
-                 "(%zu discharged), %.3fs%s\n",
+                 "(ratio %.2fx)%s\n",
                  seed.r.removed, seed.r.sat_queries, seed.seconds,
                  inc.r.removed, inc.r.sat_queries, inc.seconds, ratio,
-                 stat.r.removed, stat.r.sat_queries, stat.r.static_discharged,
-                 stat.seconds, match ? "" : "  ENGINE MISMATCH");
+                 match ? "" : "  ENGINE MISMATCH");
   }
   std::fprintf(out, "  ]\n}\n");
   std::fclose(out);

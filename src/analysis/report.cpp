@@ -53,7 +53,7 @@ AnalysisReport run_analysis(const Network& net) {
   r.dominance_edges = collapse.dominance_edges();
 
   // Static untestability over one representative per equivalence class —
-  // the same universe the ATPG pre-pass walks.
+  // the same universe the ATPG removal scan walks.
   for (const FaultClass& cls : collapse.classes()) {
     const FaultNode& f = cls.members.front();
     const StaticResult sr = f.branch ? stat.analyze_branch(f.conn, f.stuck)

@@ -3,17 +3,13 @@
 // BLIF is the interchange format, but it is not structure-preserving —
 // the reader re-elaborates covers into fresh AND/OR/NOT trees, so gate
 // identities (and with them fault coordinates) do not survive a round
-// trip. Static untestability certificates need the verifier to re-derive
-// a claim about *this exact* gate graph, so they carry a snapshot in
-// this format instead: live gates in topological order, each line naming
-// the kind and the fanin pins (as snapshot indices, in pin order).
-// read_snapshot() reconstructs a Network whose gate i is exactly the
-// snapshot's gate i — kinds, pin order, fanout structure and interface
-// membership all preserved.
-//
-// The snapshot is *stated* by the pipeline, like the CNF behind a DRAT
-// certificate: the checker re-derives the structural claim on the stated
-// graph (see DESIGN.md §13 for the trust model).
+// trip. The snapshot keeps them: live gates in topological order, each
+// line naming the kind and the fanin pins (as snapshot indices, in pin
+// order). read_snapshot() reconstructs a Network whose gate i is exactly
+// the snapshot's gate i — kinds, pin order, fanout structure and
+// interface membership all preserved. The durability layer digests the
+// snapshot to check that a resumed session replayed its journal back to
+// the exact structure its checkpoint recorded (src/recover/).
 #pragma once
 
 #include <string>

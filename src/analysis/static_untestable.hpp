@@ -1,5 +1,6 @@
-// SAT-free untestability pre-pass (the tentpole of the static analysis
-// subsystem).
+// SAT-free static untestability analysis, behind `kmscli analyze` and
+// the kmslint rules NL017-NL021. The removal engine does not use it:
+// every untestable verdict that licenses a deletion comes from SAT.
 //
 // A single stuck-at fault is untestable — i.e. the connection is
 // redundant in the KMS testing sense — when a *necessary condition* for
@@ -23,19 +24,10 @@
 //                 with their required noncontrolling values at once and
 //                 reports a conflict (each seed is individually
 //                 necessary, so a joint conflict is sound).
-//
-// Every verdict carries a textual justification in snapshot coordinates
-// (see snapshot.hpp) so that an independent checker — kmsproof — can
-// re-derive the claim on the exact gate graph without trusting the
-// pipeline: verify_static_claim() re-runs the dominator and implication
-// reasoning from scratch and confirms each recorded step.
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <string>
 #include <string_view>
-#include <vector>
 
 #include "src/analysis/dominators.hpp"
 #include "src/analysis/implication.hpp"
@@ -52,19 +44,17 @@ enum class StaticVerdict : std::uint8_t {
 
 std::string_view static_verdict_name(StaticVerdict v);
 
-/// A static untestability verdict plus its re-derivable justification.
-/// `justification` is empty iff `verdict == kUnknown`.
+/// A static untestability verdict.
 struct StaticResult {
   StaticVerdict verdict = StaticVerdict::kUnknown;
-  std::string justification;
 
   bool untestable() const { return verdict != StaticVerdict::kUnknown; }
 };
 
 /// Static untestability engine over one network state. Construction
-/// builds the post-dominator tree and the snapshot index map; analysis
-/// calls are const and allocate only per-call scratch, so one engine
-/// may serve concurrent workers.
+/// builds the post-dominator tree and the implication engine; analysis
+/// calls are const and keep their fault-cone marks in per-thread
+/// scratch, so one engine may serve concurrent workers.
 class StaticUntestable {
  public:
   explicit StaticUntestable(const Network& net);
@@ -78,11 +68,6 @@ class StaticUntestable {
   const DominatorTree& dominators() const { return dom_; }
   const ImplicationEngine& implications() const { return imp_; }
 
-  /// Snapshot index of a live gate (see snapshot.hpp).
-  std::uint32_t snapshot_index(GateId g) const {
-    return snap_index_[g.value()];
-  }
-
  private:
   StaticResult analyze(GateId source, GateId entry, ConnId fault_conn,
                        bool stuck) const;
@@ -90,15 +75,6 @@ class StaticUntestable {
   const Network& net_;
   DominatorTree dom_;
   ImplicationEngine imp_;
-  std::vector<std::uint32_t> snap_index_;
 };
-
-/// Independent checker: re-derive `justification` on `net` (a network
-/// parsed back from the snapshot the claim was stated against). Returns
-/// an empty string when the claim checks out, else a description of the
-/// first discrepancy. Shares no state with StaticUntestable beyond the
-/// primitive dominator/implication engines it rebuilds locally.
-std::string verify_static_claim(const Network& net,
-                                const std::string& justification);
 
 }  // namespace kms::analysis

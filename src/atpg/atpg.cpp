@@ -22,7 +22,6 @@ void AtpgStats::accumulate(const AtpgStats& other) {
   sat_conflicts += other.sat_conflicts;
   sat_solves += other.sat_solves;
   structural_shortcuts += other.structural_shortcuts;
-  static_discharged += other.static_discharged;
   cone_gates_encoded += other.cone_gates_encoded;
   max_cone_gates = std::max(max_cone_gates, other.max_cone_gates);
 }
@@ -77,22 +76,6 @@ void Atpg::mark_support(GateId extra_root) {
 
 TestResult Atpg::generate_test(const Fault& fault) {
   ++stats_.queries;
-
-  // Static oracle first: a pre-proved untestable verdict answers the
-  // query with zero cone/solver work and zero randomness. The verdict
-  // is NOT journalled here — the caller journals committed verdicts
-  // only, so an aborted run never records a speculative static claim.
-  if (oracle_) {
-    if (const auto* cert = oracle_->lookup(fault)) {
-      ++stats_.untestable;
-      ++stats_.static_discharged;
-      TestResult res;
-      res.outcome = TestOutcome::kUntestable;
-      res.static_just = *cert;
-      return res;
-    }
-  }
-
   const std::uint32_t cap = net_.gate_capacity();
   if (cone_.size() < cap) {
     cone_.resize(cap, 0);

@@ -11,10 +11,8 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
-#include <tuple>
 #include <vector>
 
 #include "src/atpg/fault.hpp"
@@ -29,7 +27,6 @@ namespace kms {
 namespace proof {
 class ProofSession;
 struct DratCertificate;
-struct StaticCertificate;
 }  // namespace proof
 
 struct AtpgStats {
@@ -44,18 +41,11 @@ struct AtpgStats {
   /// ones (an exhausted budget still did — and reports — its work).
   std::uint64_t sat_conflicts = 0;
   /// Queries that actually reached the SAT solver. queries ==
-  /// sat_solves + structural_shortcuts + static_discharged.
+  /// sat_solves + structural_shortcuts.
   std::uint64_t sat_solves = 0;
   /// Untestable verdicts proved structurally (the fault cone reaches no
   /// primary output), with no solver involved.
   std::uint64_t structural_shortcuts = 0;
-  /// Untestable verdicts discharged by the static analysis pre-pass
-  /// (src/analysis/static_untestable.hpp) via an attached StaticOracle,
-  /// before any cone or solver work. Counted separately from
-  /// structural_shortcuts: a shortcut is the ATPG engine's own
-  /// cone-misses-every-output test, a static discharge is an external
-  /// dominator/implication verdict handed in ready-made.
-  std::uint64_t static_discharged = 0;
   /// Gates encoded into CNF, summed over all SAT solves (good-circuit
   /// support; the measure of the cone-of-influence restriction — the
   /// whole-network encoding would contribute count_gates() per solve).
@@ -86,54 +76,11 @@ struct TestResult {
   /// journalled is the coordinator's commit decision, made later and in
   /// canonical order. Null otherwise.
   std::shared_ptr<proof::DratCertificate> certificate;
-  /// A kUntestable verdict discharged by the static oracle carries its
-  /// structural certificate (snapshot + justification) here; the
-  /// caller journals it at commit time (never speculatively, so an
-  /// aborted run can never record a vacuous static verdict). Null for
-  /// SAT-backed verdicts and in non-proving runs.
-  std::shared_ptr<proof::StaticCertificate> static_just;
 
   bool has_value() const { return vector.has_value(); }
   explicit operator bool() const { return vector.has_value(); }
   std::vector<bool>& operator*() { return *vector; }
   const std::vector<bool>& operator*() const { return *vector; }
-};
-
-/// Precomputed SAT-free untestability verdicts for one network state.
-/// The removal engines build one per pass from the static analysis
-/// engine and attach it to every Atpg (all workers share the same
-/// const oracle — lookups are read-only). A hit answers the query
-/// before any cone marking or solver work and consumes no randomness,
-/// so scan behaviour stays bit-identical across engines and job
-/// counts. Entries are keyed by the exact fault tuple; an absent key
-/// means "no static verdict, fall through to SAT".
-class StaticOracle {
- public:
-  /// Record a statically proved untestable fault. `cert` carries the
-  /// snapshot + justification in proving runs and is null otherwise.
-  void add(const Fault& f, std::shared_ptr<proof::StaticCertificate> cert) {
-    map_[key(f)] = std::move(cert);
-  }
-
-  /// The certificate slot for `f`, or nullptr when `f` has no static
-  /// verdict. A non-null return whose pointee is null is a hit from a
-  /// non-proving run.
-  const std::shared_ptr<proof::StaticCertificate>* lookup(
-      const Fault& f) const {
-    const auto it = map_.find(key(f));
-    return it == map_.end() ? nullptr : &it->second;
-  }
-
-  std::size_t size() const { return map_.size(); }
-
- private:
-  using Key = std::tuple<bool, std::uint32_t, std::uint32_t, bool>;
-  static Key key(const Fault& f) {
-    return {f.site == Fault::Site::kBranch, f.gate.value(),
-            f.site == Fault::Site::kBranch ? f.conn.value() : 0, f.stuck};
-  }
-
-  std::map<Key, std::shared_ptr<proof::StaticCertificate>> map_;
 };
 
 class Atpg {
@@ -164,15 +111,6 @@ class Atpg {
   /// to kUnknown rather than licensing an unproved deletion.
   void set_proof_capture(bool on) { capture_ = on; }
 
-  /// Attach a static untestability oracle (may be null to detach). For
-  /// a fault with an oracle entry, generate_test returns kUntestable
-  /// immediately — no cone marking, no solver, no governor charge —
-  /// and counts the query under stats().static_discharged. The oracle
-  /// must have been computed against the *current* network state; the
-  /// caller rebuilds it after every structural edit, exactly as it
-  /// rebuilds the Atpg itself.
-  void set_static_oracle(const StaticOracle* oracle) { oracle_ = oracle; }
-
   /// Decide testability of the fault: kTestable with a test vector (PI
   /// assignment, in net.inputs() order), kUntestable (the fault site is
   /// redundant), or kUnknown if the governor stopped the solve first.
@@ -198,7 +136,6 @@ class Atpg {
   ResourceGovernor* governor_ = nullptr;
   proof::ProofSession* session_ = nullptr;
   bool capture_ = false;  ///< see set_proof_capture
-  const StaticOracle* oracle_ = nullptr;  ///< see set_static_oracle
   AtpgStats stats_;
 
   // Per-query scratch, hoisted out of generate_test and reset by stamp

@@ -4,14 +4,11 @@
 #include <atomic>
 #include <cassert>
 #include <chrono>
-#include <memory>
 #include <numeric>
 #include <optional>
 #include <utility>
 #include <vector>
 
-#include "src/analysis/snapshot.hpp"
-#include "src/analysis/static_untestable.hpp"
 #include "src/atpg/atpg.hpp"
 #include "src/atpg/fault_cache.hpp"
 #include "src/atpg/fault_sim.hpp"
@@ -116,53 +113,6 @@ void predrop_pass(const Network& net, const std::vector<Fault>& faults,
   result.sim_seconds += Seconds(Clock::now() - t0).count();
 }
 
-/// Build the per-pass static oracle: run the SAT-free untestability
-/// rules over the collapsed fault list. A pure function of the network
-/// state — no rng draws, no thread state — so every engine and worker
-/// count computes the identical verdict set. In proving runs each hit
-/// carries a StaticCertificate; all certificates of one pass share one
-/// snapshot of the current network (claims are stated against the same
-/// graph, and the verifier parses it once).
-std::unique_ptr<StaticOracle> build_static_oracle(
-    const Network& net, const std::vector<Fault>& faults, bool proving) {
-  const analysis::StaticUntestable engine(net);
-  auto oracle = std::make_unique<StaticOracle>();
-  std::shared_ptr<const std::string> snapshot;
-  for (const Fault& f : faults) {
-    const analysis::StaticResult r =
-        f.site == Fault::Site::kStem ? engine.analyze_stem(f.gate, f.stuck)
-                                     : engine.analyze_branch(f.conn, f.stuck);
-    if (!r.untestable()) continue;
-    std::shared_ptr<proof::StaticCertificate> cert;
-    if (proving) {
-      if (!snapshot)
-        snapshot =
-            std::make_shared<const std::string>(analysis::write_snapshot(net));
-      cert = std::make_shared<proof::StaticCertificate>(
-          proof::StaticCertificate{snapshot, r.justification});
-    }
-    oracle->add(f, std::move(cert));
-  }
-  return oracle;
-}
-
-/// Journal one committed untestable verdict plus the deletion citing
-/// it. Static verdicts reach the journal ONLY through here, at commit
-/// time — never speculatively from inside a query — so an aborted run
-/// cannot record a vacuous static claim (satellite (c)'s invariant).
-void journal_deletion(proof::ProofSession& session, const std::string& what,
-                      const TestResult& test) {
-  if (test.static_just) {
-    const std::uint64_t digest = proof::digest_bytes(*test.static_just->snapshot);
-    const std::int64_t id = session.add_static_certificate(*test.static_just);
-    session.journal.add_fault_static_untestable(
-        what, id, test.static_just->justification, digest);
-    session.journal.add_delete_static(what, id);
-  } else {
-    session.journal.add_delete(what, test.proof);
-  }
-}
-
 // ---- sequential engines (jobs == 1): seed and incremental ----------------
 
 /// Restore a committed pass-boundary state into the engine-local
@@ -219,11 +169,6 @@ RedundancyRemovalResult remove_sequential(Network& net,
     Rng wrng = witness_rng(opts.seed, result.passes, 0);
     RemovalWorkerStats ws;
     Atpg atpg(net, ctx);
-    std::unique_ptr<StaticOracle> oracle;
-    if (opts.static_prepass) {
-      oracle = build_static_oracle(net, faults, session != nullptr);
-      atpg.set_static_oracle(oracle.get());
-    }
     bool removed_one = false;
     for (std::size_t i : order) {
       if (state[i] != kUndecided) continue;
@@ -270,16 +215,14 @@ RedundancyRemovalResult remove_sequential(Network& net,
               state[idx[k]] = kWitnessTestable;
               ++ws.witness_dropped;
               cache.insert(pending[k], fault_source(net, pending[k]));
-              if (session)
-                session->journal.add_fault_sim_testable(
-                    format_fault(net, pending[k]));
             }
           }
           ws.sim_seconds += Seconds(Clock::now() - t1).count();
         }
         continue;
       }
-      if (session) journal_deletion(*session, format_fault(net, faults[i]), test);
+      if (session)
+        session->journal.add_delete(format_fault(net, faults[i]), test.proof);
       TransformTrace trace;
       TransformTrace* tr = opts.incremental ? &trace : nullptr;
       apply_redundancy_removal(net, faults[i], tr);
@@ -343,11 +286,6 @@ RedundancyRemovalResult remove_parallel(Network& net,
       predrop_pass(net, faults, opts, gov, cache, rng, sim, seed_state,
                    result);
     }
-    // One static oracle per pass, shared read-only by all workers (the
-    // lookups are const and the verdicts are scan-order independent).
-    std::unique_ptr<StaticOracle> oracle;
-    if (opts.static_prepass)
-      oracle = build_static_oracle(net, faults, session != nullptr);
     const std::vector<std::size_t> order = scan_order(n, opts.order, rng);
     // Rank of each fault in scan order, for the first-untestable race.
     std::vector<std::size_t> rank(n, n);
@@ -364,11 +302,6 @@ RedundancyRemovalResult remove_parallel(Network& net,
     std::atomic<bool> aborted{false};
     TicketQueue tickets(n);
     std::vector<RemovalWorkerStats> wstats(pool.size());
-    // Witness drops per worker as (fault index, scan rank of the
-    // witness's fault), journalled (sorted) at the pass barrier when a
-    // session is attached.
-    std::vector<std::vector<std::pair<std::size_t, std::size_t>>> wdrops(
-        pool.size());
 
     // Snapshot the pass index for worker rng seeding: workers must not
     // read the coordinator-owned result struct.
@@ -377,7 +310,6 @@ RedundancyRemovalResult remove_parallel(Network& net,
       RemovalWorkerStats& ws = wstats[w];
       Atpg atpg(net, worker_ctx);
       if (session) atpg.set_proof_capture(true);
-      if (oracle) atpg.set_static_oracle(oracle.get());
       Rng wrng = witness_rng(opts.seed, passes_now, w);
       std::optional<FaultSimulator> sim;
       for (;;) {
@@ -447,7 +379,6 @@ RedundancyRemovalResult remove_parallel(Network& net,
                     std::memory_order_relaxed)) {
               ++ws.witness_dropped;
               cache.insert(pending[m], fault_source(net, pending[m]));
-              wdrops[w].emplace_back(idx[m], k);
             }
           }
         }
@@ -460,19 +391,6 @@ RedundancyRemovalResult remove_parallel(Network& net,
     for (std::size_t w = 0; w < wstats.size(); ++w)
       result.merge_worker(wstats[w]);
     if (session) {
-      // Only witnesses ranked before the committed fault count: the
-      // sequential scan never reaches a fault past it, so a drop made by
-      // speculating there would make the journal depend on the schedule.
-      // (Such drops still feed the cache; they are real detections.)
-      const std::size_t commit_rank =
-          best_rank.load(std::memory_order_relaxed);
-      std::vector<std::size_t> drops;
-      for (const auto& d : wdrops)
-        for (const auto& [i, witness_rank] : d)
-          if (witness_rank < commit_rank) drops.push_back(i);
-      std::sort(drops.begin(), drops.end());
-      for (std::size_t i : drops)
-        session->journal.add_fault_sim_testable(format_fault(net, faults[i]));
       for (std::size_t k = 0; k < n; ++k) {
         const std::size_t i = order[k];
         if (spec[i].state.load(std::memory_order_relaxed) == kUnknownVerdict)
@@ -499,17 +417,12 @@ RedundancyRemovalResult remove_parallel(Network& net,
     if (session) {
       TestResult& tr = spec[chosen].result;
       // Capture mode guarantees a certificate behind every untestable
-      // verdict (certificate-less UNSATs degrade to kUnknown); a static
-      // oracle hit carries its structural certificate instead.
-      assert(tr.certificate != nullptr || tr.static_just != nullptr);
-      if (tr.static_just) {
-        journal_deletion(*session, format_fault(net, fault), tr);
-      } else {
-        const std::int64_t id =
-            session->add_certificate(std::move(*tr.certificate));
-        session->journal.add_fault_untestable(format_fault(net, fault), id);
-        session->journal.add_delete(format_fault(net, fault), id);
-      }
+      // verdict (certificate-less UNSATs degrade to kUnknown).
+      assert(tr.certificate != nullptr);
+      const std::int64_t id =
+          session->add_certificate(std::move(*tr.certificate));
+      session->journal.add_fault_untestable(format_fault(net, fault), id);
+      session->journal.add_delete(format_fault(net, fault), id);
     }
     TransformTrace trace;
     TransformTrace* tr = opts.incremental ? &trace : nullptr;
@@ -585,7 +498,6 @@ RedundancyRemovalResult remove_redundancies(
   // their own counter.
   result.sat_queries = result.atpg.sat_solves;
   result.structural_shortcuts = result.atpg.structural_shortcuts;
-  result.static_discharged = result.atpg.static_discharged;
   if (result.aborted && ctx.session)
     ctx.session->journal.mark_partial(
         "redundancy removal stopped early: resource governor exhausted");

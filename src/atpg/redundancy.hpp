@@ -82,17 +82,6 @@ struct RedundancyRemovalOptions {
   /// engine, kept selectable as the baseline for equivalence tests and
   /// the bench_atpg comparison.
   bool incremental = true;
-  /// SAT-free static untestability pre-pass: before each pass's scan,
-  /// the dominator/implication engine (src/analysis) proves what it can
-  /// and those faults are discharged without a solver call. The rules
-  /// are sound and the oracle is a pure function of the network — no
-  /// rng draws, no thread state — so the removed-fault set stays
-  /// bit-identical with the pre-pass on or off, at any job count; only
-  /// the SAT query count changes. In proof-carrying runs each static
-  /// verdict is journalled at commit time with a re-derivable
-  /// structural justification (snapshot + dominator chain + implication
-  /// set) instead of a DRAT certificate; kmsproof re-derives it.
-  bool static_prepass = true;
   RemovalOrder order = RemovalOrder::kForward;
   std::uint64_t seed = 0x5EEDull;
 
@@ -101,9 +90,8 @@ struct RedundancyRemovalOptions {
   /// deletion licence — and the loop stops on exhaustion; the random-
   /// simulation pre-drop honours it word by word), proof session (every
   /// untestable verdict carries a DRAT certificate and every removal is
-  /// journalled citing it, in commit order; witness-dropped faults are
-  /// journalled as informational fault-sim-testable steps; an aborted
-  /// run finalizes the journal as partial), and the worker count:
+  /// journalled citing it, in commit order; an aborted run finalizes
+  /// the journal as partial), and the worker count:
   /// context.jobs == 1 runs the sequential engines unchanged; > 1 (or 0
   /// = hardware concurrency) runs fault classification on that many
   /// workers with the deterministic commit protocol, whose removed-
@@ -139,9 +127,9 @@ struct RedundancyRemovalResult {
   /// `structural_shortcuts`, not here — no solve happened.
   std::size_t sat_queries = 0;
   std::size_t structural_shortcuts = 0;  ///< solver-free untestable verdicts
-  /// Untestable verdicts discharged by the static analysis pre-pass
-  /// (dominators + implications), each a SAT query avoided. Zero when
-  /// RedundancyRemovalOptions::static_prepass is off.
+  /// Always 0: every untestable verdict comes from the SAT engine (or
+  /// a structural shortcut). Kept so readers of the removal counters
+  /// written against the retired static pre-pass still compile.
   std::size_t static_discharged = 0;
   std::size_t unknown_queries = 0;  ///< queries aborted by the governor
   bool aborted = false;  ///< loop stopped early on governor exhaustion

@@ -19,7 +19,6 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -37,28 +36,13 @@ struct JournalStep {
     kFaultUntestable,  ///< fault proven untestable (proof id)
     kFaultUnknown,     ///< ATPG query aborted; fault conservatively kept
     kDelete,           ///< redundancy removed (cites an untestable proof)
-    /// Fault observed testable by simulating another fault's SAT witness
-    /// (or a perturbation of it). Informational: it licenses nothing and
-    /// never marks a journal partial — the checker accepts it as a no-op.
-    kFaultSimTestable,
-    kPartial,  ///< degradation marker (what = reason)
-    /// Fault proven untestable by the SAT-free static pre-pass. `proof`
-    /// is a *static certificate* id (a snapshot + structural
-    /// justification, see ProofSession::static_certificates()), `count`
-    /// holds the snapshot digest, and `just` carries the justification
-    /// the checker re-derives (dominator chain + implication set).
-    kFaultStaticUntestable,
-    /// Redundancy removed citing a static verdict (the static analogue
-    /// of kDelete; kept a distinct kind because its proof ids index the
-    /// static certificate space, not the DRAT space).
-    kDeleteStatic,
+    kPartial,          ///< degradation marker (what = reason)
   };
 
   Kind kind;
   std::int64_t proof = -1;  ///< certificate id, -1 = none
   std::string what;         ///< fault/path description or reason
-  std::string just;         ///< static structural justification, if any
-  std::uint64_t count = 0;  ///< kind-specific count (gates, conn id, digest)
+  std::uint64_t count = 0;  ///< kind-specific count (gates, conn id)
 };
 
 /// Stable text name of a step kind ("delete", "fault-untestable", ...).
@@ -91,14 +75,7 @@ class TransformJournal {
   void add_constant(std::uint64_t conn);
   void add_fault_untestable(std::string fault, std::int64_t proof);
   void add_fault_unknown(std::string fault);
-  void add_fault_sim_testable(std::string fault);
   void add_delete(std::string fault, std::int64_t proof);
-  /// `proof` indexes the session's static certificates; `snapshot_digest`
-  /// ties the step to the exact structure the claim was derived on.
-  void add_fault_static_untestable(std::string fault, std::int64_t proof,
-                                   std::string just,
-                                   std::uint64_t snapshot_digest);
-  void add_delete_static(std::string fault, std::int64_t proof);
 
   /// Record a degradation event; the journal finalizes as partial.
   void mark_partial(std::string reason);
@@ -129,16 +106,6 @@ class TransformJournal {
 /// pointer through KmsOptions / RedundancyRemovalOptions; components
 /// register certificates for each UNSAT verdict and journal every
 /// transformation against them.
-/// One static untestability claim: the exact structural snapshot
-/// (kms-snapshot v1, see src/analysis/snapshot.hpp) and the textual
-/// justification the independent checker re-derives on it. Snapshots
-/// are shared — every fault discharged on one network state cites the
-/// same bytes.
-struct StaticCertificate {
-  std::shared_ptr<const std::string> snapshot;
-  std::string justification;
-};
-
 class ProofSession {
  public:
   TransformJournal journal;
@@ -148,18 +115,8 @@ class ProofSession {
 
   const std::vector<DratCertificate>& certificates() const { return certs_; }
 
-  /// Register a static certificate; its id space is separate from the
-  /// DRAT certificates' (kFaultStaticUntestable/kDeleteStatic steps
-  /// index here).
-  std::int64_t add_static_certificate(StaticCertificate cert);
-
-  const std::vector<StaticCertificate>& static_certificates() const {
-    return static_certs_;
-  }
-
  private:
   std::vector<DratCertificate> certs_;
-  std::vector<StaticCertificate> static_certs_;
 };
 
 /// FNV-1a over bytes; used to tie the journal to the exact BLIF

@@ -6,8 +6,6 @@
 #include <sstream>
 #include <vector>
 
-#include "src/analysis/snapshot.hpp"
-#include "src/analysis/static_untestable.hpp"
 #include "src/base/durable.hpp"
 #include "src/base/strings.hpp"
 #include "src/check/checker.hpp"
@@ -68,69 +66,10 @@ VerifyReport verify_session(const ProofSession& session,
     return true;
   };
 
-  // Static certificates: each claim is re-derived from scratch on its
-  // stated snapshot the first time a step cites it. Parsed snapshots
-  // are cached per shared byte buffer (many claims share one state).
-  const auto& scerts = session.static_certificates();
-  std::vector<bool> scert_ok(scerts.size(), false);
-  std::map<const std::string*, Network> parsed_snapshots;
-  const auto check_static = [&](std::size_t step, const JournalStep& s) {
-    const std::int64_t id = s.proof;
-    if (id < 0 || static_cast<std::size_t>(id) >= scerts.size()) {
-      rep.error = str_format(
-          "step %zu references unknown static certificate %lld", step,
-          static_cast<long long>(id));
-      return false;
-    }
-    const StaticCertificate& cert = scerts[static_cast<std::size_t>(id)];
-    if (!cert.snapshot) {
-      rep.error = str_format("static certificate %lld has no snapshot",
-                             static_cast<long long>(id));
-      return false;
-    }
-    if (s.count != digest_bytes(*cert.snapshot)) {
-      rep.error = str_format(
-          "step %zu snapshot digest does not match static certificate %lld",
-          step, static_cast<long long>(id));
-      return false;
-    }
-    if (s.just != cert.justification) {
-      rep.error = str_format(
-          "step %zu justification does not match static certificate %lld",
-          step, static_cast<long long>(id));
-      return false;
-    }
-    if (scert_ok[static_cast<std::size_t>(id)]) return true;
-    auto it = parsed_snapshots.find(cert.snapshot.get());
-    if (it == parsed_snapshots.end()) {
-      try {
-        it = parsed_snapshots
-                 .emplace(cert.snapshot.get(),
-                          analysis::read_snapshot(*cert.snapshot))
-                 .first;
-      } catch (const std::exception& e) {
-        rep.error = str_format("static certificate %lld snapshot: %s",
-                               static_cast<long long>(id), e.what());
-        return false;
-      }
-    }
-    const std::string err =
-        analysis::verify_static_claim(it->second, cert.justification);
-    if (!err.empty()) {
-      rep.error = str_format("static certificate %lld rejected: %s",
-                             static_cast<long long>(id), err.c_str());
-      return false;
-    }
-    scert_ok[static_cast<std::size_t>(id)] = true;
-    ++rep.static_checked;
-    return true;
-  };
-
   // Replay: local inference rules over the step sequence.
   enum class PathVerdict { kNone, kUnsens };
   PathVerdict path = PathVerdict::kNone;
   std::map<std::string, std::int64_t> untestable;  // fault -> proof id
-  std::map<std::string, std::int64_t> static_untestable;
   const auto& steps = j.steps();
   for (std::size_t i = 0; i < steps.size(); ++i) {
     const JournalStep& s = steps[i];
@@ -180,7 +119,6 @@ VerifyReport verify_session(const ProofSession& session,
         untestable[s.what] = s.proof;
         break;
       case JournalStep::Kind::kFaultUnknown:
-      case JournalStep::Kind::kFaultSimTestable:  // informational only
       case JournalStep::Kind::kPartial:
         break;
       case JournalStep::Kind::kDelete: {
@@ -189,30 +127,6 @@ VerifyReport verify_session(const ProofSession& session,
           rep.error = str_format(
               "step %zu deletes '%s' without a matching proven "
               "untestable-fault verdict",
-              i, s.what.c_str());
-          return rep;
-        }
-        ++rep.deletions_verified;
-        break;
-      }
-      case JournalStep::Kind::kFaultStaticUntestable:
-        if (s.just.empty()) {
-          rep.error = str_format(
-              "step %zu claims a static untestable fault without a "
-              "justification",
-              i);
-          return rep;
-        }
-        if (!check_static(i, s)) return rep;
-        static_untestable[s.what] = s.proof;
-        break;
-      case JournalStep::Kind::kDeleteStatic: {
-        const auto it = static_untestable.find(s.what);
-        if (s.proof < 0 || it == static_untestable.end() ||
-            it->second != s.proof) {
-          rep.error = str_format(
-              "step %zu statically deletes '%s' without a matching "
-              "re-derived static-untestable verdict",
               i, s.what.c_str());
           return rep;
         }
@@ -246,11 +160,10 @@ VerifyReport verify_session(const ProofSession& session,
 }
 
 void write_certificate_files(const ProofSession& session,
-                             const std::string& dir, std::size_t first_drat,
-                             std::size_t first_static) {
+                             const std::string& dir, std::size_t first) {
   const fs::path root(dir);
   const auto& certs = session.certificates();
-  for (std::size_t i = first_drat; i < certs.size(); ++i) {
+  for (std::size_t i = first; i < certs.size(); ++i) {
     std::ostringstream cnf;
     write_cnf(certs[i], cnf);
     atomic_write_file((root / str_format("q%zu.cnf", i)).string(), cnf.str());
@@ -258,14 +171,6 @@ void write_certificate_files(const ProofSession& session,
     write_drat(certs[i], drat);
     atomic_write_file((root / str_format("q%zu.drat", i)).string(),
                       drat.str());
-  }
-  const auto& scerts = session.static_certificates();
-  for (std::size_t i = first_static; i < scerts.size(); ++i) {
-    atomic_write_file((root / str_format("s%zu.snap", i)).string(),
-                      scerts[i].snapshot ? *scerts[i].snapshot
-                                         : std::string());
-    atomic_write_file((root / str_format("s%zu.just", i)).string(),
-                      scerts[i].justification);
   }
 }
 
@@ -280,7 +185,7 @@ void write_artifacts(const ProofSession& session, const std::string& dir,
   atomic_write_file((root / "output.blif").string(), output_blif);
   atomic_write_file((root / "journal.txt").string(),
                     session.journal.to_text());
-  write_certificate_files(session, dir, 0, 0);
+  write_certificate_files(session, dir, 0);
 }
 
 VerifyReport verify_artifact_dir(const std::string& dir) {
@@ -306,14 +211,6 @@ VerifyReport verify_artifact_dir(const std::string& dir) {
         throw std::runtime_error(
             str_format("certificate %zu files unreadable", i));
       session.add_certificate(read_certificate(cnf, drat));
-    }
-    for (std::size_t i = 0;; ++i) {
-      const fs::path snap_path = root / str_format("s%zu.snap", i);
-      if (!fs::exists(snap_path)) break;
-      StaticCertificate cert;
-      cert.snapshot = std::make_shared<const std::string>(slurp(snap_path));
-      cert.justification = slurp(root / str_format("s%zu.just", i));
-      session.add_static_certificate(std::move(cert));
     }
     return verify_session(session, input, output);
   } catch (const std::exception& e) {

@@ -6,9 +6,8 @@
 // untestable-fault verdict for the same fault; a duplication or constant
 // assertion must follow an unsensitizable-path verdict), every verdict's
 // DRAT certificate is re-checked from scratch (src/proof/checker.hpp),
-// every static untestability claim is re-derived structurally on its
-// stated snapshot (src/analysis/static_untestable.hpp), the journal
-// digests are recomputed from the BLIF bytes they claim to bracket, and
+// the journal digests are recomputed from the BLIF bytes they claim to
+// bracket, and
 // the output netlist is re-validated with the structural
 // NetworkChecker. A journal that ends "complete" while containing any
 // unknown-verdict step is rejected.
@@ -35,9 +34,6 @@ struct VerifyReport {
   std::size_t steps_checked = 0;
   std::size_t certificates_checked = 0;
   std::size_t deletions_verified = 0;
-  /// Static untestability claims re-derived structurally (snapshot
-  /// parsed, dominator chain and implication closure recomputed).
-  std::size_t static_checked = 0;
 
   explicit operator bool() const { return ok; }
 };
@@ -51,21 +47,18 @@ VerifyReport verify_session(const ProofSession& session,
 
 /// Write the session as a standalone artifact directory:
 ///   input.blif, output.blif, journal.txt, q<N>.cnf + q<N>.drat per
-/// DRAT certificate, s<N>.snap + s<N>.just per static certificate.
-/// Creates `dir` (and parents) if needed. Throws std::runtime_error on
+/// DRAT certificate. Creates `dir` (and parents) if needed. Throws std::runtime_error on
 /// I/O failure.
 void write_artifacts(const ProofSession& session, const std::string& dir,
                      const std::string& input_blif,
                      const std::string& output_blif);
 
 /// Durably (atomic write-temp-then-rename) write the certificate files
-/// q<N>.cnf/.drat and s<N>.snap/.just for indices >= first_drat /
-/// first_static. The incremental-persistence entry the crash-safe
-/// session layer (src/recover/) uses at each commit: already-durable
-/// certificates are never rewritten.
+/// q<N>.cnf/.drat for indices >= `first`. The incremental-persistence
+/// entry the crash-safe session layer (src/recover/) uses at each
+/// commit: already-durable certificates are never rewritten.
 void write_certificate_files(const ProofSession& session,
-                             const std::string& dir, std::size_t first_drat,
-                             std::size_t first_static);
+                             const std::string& dir, std::size_t first);
 
 /// Load an artifact directory written by write_artifacts() and verify
 /// it. All parse errors are reported through the VerifyReport (never

@@ -123,7 +123,6 @@ struct FieldTable {
     u64("cursor", &c.cursor);
     u64("steps", &c.steps);
     u64("drat-certs", &c.drat_certs);
-    u64("static-certs", &c.static_certs);
     hex("net-digest", &c.net_digest);
     str("rng", &c.rng_state);
 
@@ -168,15 +167,12 @@ struct FieldTable {
     sz("rm.passes", &r.passes);
     sz("rm.sat_queries", &r.sat_queries);
     sz("rm.structural_shortcuts", &r.structural_shortcuts);
-    sz("rm.static_discharged", &r.static_discharged);
     sz("rm.unknown_queries", &r.unknown_queries);
     flag("rm.aborted", &r.aborted);
     sz("rm.sim_dropped", &r.sim_dropped);
     sz("rm.witness_dropped", &r.witness_dropped);
     sz("rm.cache_hits", &r.cache_hits);
     sz("rm.cache_invalidated", &r.cache_invalidated);
-    dbl("rm.sim_seconds", &r.sim_seconds);
-    dbl("rm.sat_seconds", &r.sat_seconds);
 
     AtpgStats& a = r.atpg;
     u64("atpg.queries", &a.queries);
@@ -186,7 +182,6 @@ struct FieldTable {
     u64("atpg.sat_conflicts", &a.sat_conflicts);
     u64("atpg.sat_solves", &a.sat_solves);
     u64("atpg.structural_shortcuts", &a.structural_shortcuts);
-    u64("atpg.static_discharged", &a.static_discharged);
     u64("atpg.cone_gates_encoded", &a.cone_gates_encoded);
     u64("atpg.max_cone_gates", &a.max_cone_gates);
   }

@@ -2,7 +2,8 @@
 //
 // A checkpoint is everything the resume path cannot re-derive from the
 // journal prefix alone: the phase cursor, the committed counters
-// (KmsStats with the nested removal and ATPG stats), the removal-phase
+// (KmsStats with the nested removal and ATPG stats, but no wall-clock
+// seconds: durable state must be byte-reproducible), the removal-phase
 // scan rng and cross-pass fault-cache state, the proof-session sizes
 // (journal steps / certificate counts the prefix is truncated to), and
 // the FNV-1a digest of the exact network snapshot (kms-snapshot v1) —
@@ -26,8 +27,7 @@ struct Checkpoint {
   std::string phase;         ///< "loop" | "removal"
   std::uint64_t cursor = 0;  ///< loop iterations | removal passes
   std::uint64_t steps = 0;   ///< journal steps committed at this point
-  std::uint64_t drat_certs = 0;    ///< DRAT certificates registered
-  std::uint64_t static_certs = 0;  ///< static certificates registered
+  std::uint64_t drat_certs = 0;  ///< DRAT certificates registered
   std::uint64_t net_digest = 0;  ///< digest_bytes(write_snapshot(net))
   std::string rng_state;    ///< removal scan rng; "" in the loop phase
   std::string cache_state;  ///< fault cache; "" in the loop phase

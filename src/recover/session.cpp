@@ -6,7 +6,6 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
-#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -153,7 +152,6 @@ void replay_steps(Network& net, const std::vector<proof::JournalStep>& steps,
         break;
       }
       case Kind::kDelete:
-      case Kind::kDeleteStatic:
         replay_delete(net, s.what);
         break;
       // Verdict and degradation records change no structure; they are
@@ -162,8 +160,6 @@ void replay_steps(Network& net, const std::vector<proof::JournalStep>& steps,
       case Kind::kPathGiveup:
       case Kind::kFaultUntestable:
       case Kind::kFaultUnknown:
-      case Kind::kFaultSimTestable:
-      case Kind::kFaultStaticUntestable:
       case Kind::kPartial:
         break;
     }
@@ -187,14 +183,6 @@ void reload_certificates(const std::string& dir, const Checkpoint& ckpt,
                                ".cnf/.drat");
     session->add_certificate(proof::read_certificate(cnf, drat));
   }
-  for (std::uint64_t i = 0; i < ckpt.static_certs; ++i) {
-    const std::string base = dir + "/s" + std::to_string(i);
-    proof::StaticCertificate cert;
-    cert.snapshot = std::make_shared<const std::string>(
-        slurp(base + ".snap", "static certificate snapshot"));
-    cert.justification = slurp(base + ".just", "static justification");
-    session->add_static_certificate(cert);
-  }
 }
 
 }  // namespace
@@ -209,7 +197,6 @@ SessionMeta make_meta(const std::string& model, const KmsOptions& opts,
   m.jobs = jobs;
   m.seed = opts.removal.seed;
   m.incremental = opts.removal.incremental;
-  m.static_prepass = opts.removal.static_prepass;
   m.use_fault_sim = opts.removal.use_fault_sim;
   m.random_words = opts.removal.random_words;
   m.remove_remaining = opts.remove_remaining;
@@ -228,7 +215,6 @@ void apply_meta(const SessionMeta& meta, KmsOptions* opts) {
   opts->remove_remaining = meta.remove_remaining;
   opts->removal.seed = meta.seed;
   opts->removal.incremental = meta.incremental;
-  opts->removal.static_prepass = meta.static_prepass;
   opts->removal.use_fault_sim = meta.use_fault_sim;
   opts->removal.random_words = static_cast<std::size_t>(meta.random_words);
   opts->removal.order = meta.order == "reverse"   ? RemovalOrder::kReverse
@@ -244,7 +230,6 @@ std::string write_meta(const SessionMeta& m) {
       << "jobs " << m.jobs << '\n'
       << "seed " << m.seed << '\n'
       << "incremental " << (m.incremental ? 1 : 0) << '\n'
-      << "static-prepass " << (m.static_prepass ? 1 : 0) << '\n'
       << "fault-sim " << (m.use_fault_sim ? 1 : 0) << '\n'
       << "random-words " << m.random_words << '\n'
       << "remove-remaining " << (m.remove_remaining ? 1 : 0) << '\n'
@@ -276,8 +261,6 @@ SessionMeta read_meta(const std::string& text) {
       m.jobs = static_cast<unsigned>(parse_u64_field(value, key));
     else if (key == "seed") m.seed = parse_u64_field(value, key);
     else if (key == "incremental") m.incremental = parse_flag_field(value, key);
-    else if (key == "static-prepass")
-      m.static_prepass = parse_flag_field(value, key);
     else if (key == "fault-sim") m.use_fault_sim = parse_flag_field(value, key);
     else if (key == "random-words") m.random_words = parse_u64_field(value, key);
     else if (key == "remove-remaining")
@@ -292,9 +275,9 @@ SessionMeta read_meta(const std::string& text) {
     else
       throw std::runtime_error("meta: unknown key '" + key + "'");
   }
-  if (seen.size() != 14)
+  if (seen.size() != 13)
     throw std::runtime_error("meta: missing fields (" +
-                             std::to_string(seen.size()) + " of 14)");
+                             std::to_string(seen.size()) + " of 13)");
   if (m.mode != "static" && m.mode != "viability")
     throw std::runtime_error("meta: unknown mode '" + m.mode + "'");
   if (m.order != "forward" && m.order != "reverse" && m.order != "random")
@@ -418,19 +401,11 @@ DurableSession DurableSession::attach(const std::string& dir,
     const bool b = fs::remove(base + ".drat");
     if (!a && !b) break;
   }
-  for (std::uint64_t i = info.has_checkpoint ? info.ckpt.static_certs : 0;;
-       ++i) {
-    const std::string base = dir + "/s" + std::to_string(i);
-    const bool a = fs::remove(base + ".snap");
-    const bool b = fs::remove(base + ".just");
-    if (!a && !b) break;
-  }
   WalWriter wal = WalWriter::attach(dir + "/wal.log", info.wal_valid_bytes);
   DurableSession d(dir, std::move(wal), session, info.meta.checkpoint_every);
   if (info.has_checkpoint) {
     d.persisted_steps_ = static_cast<std::size_t>(info.ckpt.steps);
     d.persisted_drat_ = static_cast<std::size_t>(info.ckpt.drat_certs);
-    d.persisted_static_ = static_cast<std::size_t>(info.ckpt.static_certs);
     d.last_kms_ = info.ckpt.stats;
   }
   return d;
@@ -438,12 +413,9 @@ DurableSession DurableSession::attach(const std::string& dir,
 
 void DurableSession::persist_new_certificates() {
   const std::size_t drat = session_->certificates().size();
-  const std::size_t stat = session_->static_certificates().size();
-  if (drat > persisted_drat_ || stat > persisted_static_)
-    proof::write_certificate_files(*session_, dir_, persisted_drat_,
-                                   persisted_static_);
+  if (drat > persisted_drat_)
+    proof::write_certificate_files(*session_, dir_, persisted_drat_);
   persisted_drat_ = drat;
-  persisted_static_ = stat;
 }
 
 void DurableSession::flush_steps() {
@@ -459,7 +431,6 @@ void DurableSession::append_checkpoint(const CommitPoint& point) {
   c.cursor = point.cursor;
   c.steps = persisted_steps_;
   c.drat_certs = persisted_drat_;
-  c.static_certs = persisted_static_;
   c.net_digest = net_digest(*point.net);
   if (point.rng != nullptr) c.rng_state = point.rng->save_state();
   if (point.cache != nullptr) c.cache_state = point.cache->save_state();

@@ -7,8 +7,8 @@
 //  * at create(): the raw input BLIF is persisted as source.blif and a
 //    meta record (every option that affects the result) opens the log;
 //  * at every engine commit point (one KMS loop iteration, one removal
-//    pass — see recover::CommitSink in src/core/context.hpp): new DRAT/
-//    static certificate files are written durably first, then the newly
+//    pass — see recover::CommitSink in src/core/context.hpp): new DRAT
+//    certificate files are written durably first, then the newly
 //    journalled steps are appended as WAL records, then — every
 //    checkpoint_every commits, and always at phase boundaries — a
 //    checkpoint record (src/recover/checkpoint.hpp), then one fsync;
@@ -53,7 +53,6 @@ struct SessionMeta {
   unsigned jobs = 1;
   std::uint64_t seed = 0;
   bool incremental = true;
-  bool static_prepass = true;
   bool use_fault_sim = true;
   std::uint64_t random_words = 8;
   bool remove_remaining = true;
@@ -159,7 +158,6 @@ class DurableSession : public CommitSink {
   std::uint64_t checkpoint_every_;
   std::size_t persisted_steps_ = 0;
   std::size_t persisted_drat_ = 0;
-  std::size_t persisted_static_ = 0;
   std::uint64_t commits_since_ckpt_ = 0;
   std::uint64_t checkpoints_taken_ = 0;
   /// Stats of the last commit point that carried KmsStats, so

@@ -230,7 +230,7 @@ JobReport parse_job_report(const std::string& json_text) {
     throw JobError(std::string("job report: ") + e.what());
   }
   if (!doc.is_object()) throw JobError("job report: expected a JSON object");
-  check_schema(doc, "job report", kReportSchemaV1);
+  check_schema(doc, "job report", kReportSchemaV2);
   JobReport rep;
   walk_object(doc, "job report", [&](const std::string& key, const Json& v) {
     if (key == "schema") {

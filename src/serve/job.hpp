@@ -27,7 +27,7 @@
 namespace kms::serve {
 
 inline constexpr const char* kJobSchemaV1 = "kms-job-v1";
-inline constexpr const char* kReportSchemaV1 = "kms-report-v1";
+inline constexpr const char* kReportSchemaV2 = "kms-report-v2";
 
 class JobError : public std::runtime_error {
  public:
@@ -134,7 +134,7 @@ JobSpec parse_job_spec(const std::string& json_text);
   X(initial_gates, 0) X(final_gates, 0)                                     \
   X(initial_max_fanout, 0) X(final_max_fanout, 0)                           \
   X(removal_passes, 0) X(removal_sat_queries, 0)                            \
-  X(removal_structural_shortcuts, 0) X(removal_static_discharged, 0)        \
+  X(removal_structural_shortcuts, 0)                                        \
   X(removal_sim_dropped, 0) X(removal_witness_dropped, 0)                   \
   X(removal_cache_hits, 0) X(removal_cache_invalidated, 0)                  \
   X(removal_sat_solves, 0) X(removal_cone_gates, 0)                         \
@@ -143,8 +143,7 @@ JobSpec parse_job_spec(const std::string& json_text);
   X(sta_full_visits, 0)                                                     \
   X(spec_batches, 0) X(spec_solves, 0) X(spec_cache_hits, 0)                \
   X(spec_cache_insertions, 0) X(spec_cache_invalidated, 0)                  \
-  X(steps_checked, 0) X(certificates_checked, 0) X(static_checked, 0)       \
-  X(deletions_verified, 0)                                                  \
+  X(steps_checked, 0) X(certificates_checked, 0) X(deletions_verified, 0)   \
   X(audit_faults, 0) X(audit_redundant, 0) X(audit_unknown, 0)              \
   X(audit_sat_conflicts, 0)                                                 \
   X(lint_errors, 0) X(lint_findings, 0)                                     \
@@ -165,7 +164,7 @@ JobSpec parse_job_spec(const std::string& json_text);
   X(certified, false) X(certify_partial, false)
 
 struct JobReport {
-  std::string schema = kReportSchemaV1;
+  std::string schema = kReportSchemaV2;
   int exit_code = 0;  ///< the kmscli exit-code contract: 0/1/2/3
 
 #define KMS_DECL(name, dflt) std::string name = dflt;

@@ -12,7 +12,6 @@
 
 #include "src/analysis/report.hpp"
 #include "src/analysis/rules.hpp"
-#include "src/analysis/static_untestable.hpp"
 #include "src/atpg/atpg.hpp"
 #include "src/check/checker.hpp"
 #include "src/check/diagnostics.hpp"
@@ -242,18 +241,6 @@ void run_audit(const JobSpec& spec, ResourceGovernor& governor,
   check_stage(spec, rep, model.comb, "decompose_to_simple");
   const auto faults = collapsed_faults(model.comb);
   Atpg atpg(model.comb, &governor);
-  // Static pre-pass: faults the dominator/implication engine proves
-  // untestable are discharged without a SAT solve (and without
-  // spending governor budget on them).
-  const analysis::StaticUntestable stat(model.comb);
-  StaticOracle oracle;
-  for (const Fault& f : faults) {
-    const analysis::StaticResult r =
-        f.site == Fault::Site::kStem ? stat.analyze_stem(f.gate, f.stuck)
-                                     : stat.analyze_branch(f.conn, f.stuck);
-    if (r.untestable()) oracle.add(f, nullptr);
-  }
-  atpg.set_static_oracle(&oracle);
   std::size_t redundant = 0;
   std::size_t unresolved = 0;
   for (std::size_t i = 0; i < faults.size(); ++i) {
@@ -280,12 +267,9 @@ void run_audit(const JobSpec& spec, ResourceGovernor& governor,
           unresolved);
   appendf(&rep->text, "sat conflicts  : %llu\n",
           static_cast<unsigned long long>(as.sat_conflicts));
-  appendf(&rep->text,
-          "sat solves     : %llu (+%llu structural shortcuts, "
-          "+%llu static pre-pass)\n",
+  appendf(&rep->text, "sat solves     : %llu (+%llu structural shortcuts)\n",
           static_cast<unsigned long long>(as.sat_solves),
-          static_cast<unsigned long long>(as.structural_shortcuts),
-          static_cast<unsigned long long>(as.static_discharged));
+          static_cast<unsigned long long>(as.structural_shortcuts));
   if (as.sat_solves > 0)
     appendf(&rep->text, "cone gates     : %.1f avg, %llu max per solve\n",
             static_cast<double>(as.cone_gates_encoded) /
@@ -301,7 +285,6 @@ void run_audit(const JobSpec& spec, ResourceGovernor& governor,
   rep->audit_sat_conflicts = as.sat_conflicts;
   rep->removal_sat_solves = as.sat_solves;
   rep->removal_structural_shortcuts = as.structural_shortcuts;
-  rep->removal_static_discharged = as.static_discharged;
   rep->removal_cone_gates = as.cone_gates_encoded;
   rep->removal_max_cone_gates = as.max_cone_gates;
 }
@@ -329,7 +312,6 @@ void fill_kms_stats(const KmsStats& stats, JobReport* rep) {
   rep->removal_passes = r.passes;
   rep->removal_sat_queries = r.sat_queries;
   rep->removal_structural_shortcuts = r.structural_shortcuts;
-  rep->removal_static_discharged = r.static_discharged;
   rep->removal_sim_dropped = r.sim_dropped;
   rep->removal_witness_dropped = r.witness_dropped;
   rep->removal_cache_hits = r.cache_hits;
@@ -450,7 +432,6 @@ void run_irr(const JobSpec& spec, ResourceGovernor& governor, JobReport* rep) {
       rep->certify_partial = vrep.partial;
       rep->steps_checked = vrep.steps_checked;
       rep->certificates_checked = vrep.certificates_checked;
-      rep->static_checked = vrep.static_checked;
       rep->deletions_verified = vrep.deletions_verified;
     }
   }

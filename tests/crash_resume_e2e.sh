@@ -125,9 +125,11 @@ for attempt in 1 2 3 4 5; do
   sleep 0.0$attempt
   if kill -9 "$pid" 2>/dev/null; then killed=$((killed + 1)); fi
   wait "$pid" 2>/dev/null
-  if [ -f "$DIR/journal.txt" ]; then
+  if [ -f "$DIR/output.blif" ]; then
     # The run finalized before the kill landed (the -o copy may still
     # have been cut off, so judge the durable artifact instead).
+    # output.blif is the last artifact finalize writes: a kill between
+    # journal.txt and output.blif leaves a crashed session to resume.
     cmp -s "$DIR/output.blif" "$BIG_REF_OUT" \
       || fail "completed SIGKILL-race run differs"
     continue

@@ -2,7 +2,9 @@
 // binaries: kmscli irr --certify --emit-proof produces an artifact
 // directory that kmsproof verifies, and corrupted artifacts — a
 // tampered proof, a forged journal step, a swapped output netlist — are
-// rejected with exit code 2.
+// rejected with exit code 2. Certify artifacts are reproducible: the
+// journal does not depend on the worker count, and two identical runs
+// write byte-identical directories, wal.log included.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -10,19 +12,25 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 
 #include "src/gen/adders.hpp"
 #include "src/netlist/blif.hpp"
 #include "src/netlist/transform.hpp"
+#include "src/recover/wal.hpp"
 
 #ifndef KMSCLI_PATH
 #error "KMSCLI_PATH must be defined by the build"
 #endif
 #ifndef KMSPROOF_PATH
 #error "KMSPROOF_PATH must be defined by the build"
+#endif
+#ifndef PERFBENCH_INPUTS_DIR
+#error "PERFBENCH_INPUTS_DIR must be defined by the build"
 #endif
 
 namespace kms {
@@ -43,7 +51,7 @@ int exit_code(const std::string& cmd) {
 }
 
 std::string slurp(const std::string& path) {
-  std::ifstream in(path);
+  std::ifstream in(path, std::ios::binary);
   std::ostringstream out;
   out << in.rdbuf();
   return out.str();
@@ -156,6 +164,107 @@ TEST_F(KmsproofTest, MissingDirectoryRejected) {
   EXPECT_EQ(exit_code(std::string(KMSPROOF_PATH) + " " +
                       temp_path("kmsproof_no_such_dir")),
             2);
+}
+
+// ---- reproducible certify artifacts ---------------------------------------
+
+const std::string kCsa82 = std::string(PERFBENCH_INPUTS_DIR) + "/csa_8_2.blif";
+
+/// `kmscli irr <in> --certify --emit-proof <dir> --jobs <jobs>` into a
+/// fresh directory; returns the exit code.
+int certify(const std::string& dir, unsigned jobs) {
+  std::system(("rm -rf " + dir).c_str());
+  return exit_code(std::string(KMSCLI_PATH) + " irr " + kCsa82 +
+                   " -o /dev/null --certify --emit-proof " + dir +
+                   " --jobs " + std::to_string(jobs));
+}
+
+/// Every file of `dir` by name, with its bytes.
+std::map<std::string, std::string> dir_files(const std::string& dir) {
+  std::map<std::string, std::string> files;
+  for (const auto& e : std::filesystem::directory_iterator(dir))
+    files[e.path().filename().string()] = slurp(e.path().string());
+  return files;
+}
+
+TEST(CertifyArtifactsTest, JournalIdenticalAcrossJobCounts) {
+  // Nothing in a certify journal may depend on the worker schedule:
+  // one run at --jobs 1, then four at --jobs 4, byte for byte.
+  const std::string dir = temp_path("kmsproof_jobs");
+  ASSERT_EQ(certify(dir, 1), 0);
+  const std::string journal = slurp(dir + "/journal.txt");
+  ASSERT_NE(journal.find("step delete"), std::string::npos);
+  for (int run = 0; run < 4; ++run) {
+    ASSERT_EQ(certify(dir, 4), 0);
+    EXPECT_EQ(slurp(dir + "/journal.txt"), journal) << "jobs=4 run " << run;
+  }
+  std::system(("rm -rf " + dir).c_str());
+}
+
+TEST(CertifyArtifactsTest, IdenticalRunsWriteIdenticalDirectories) {
+  // Durable state holds no wall-clock data: two identical runs leave
+  // the same files with the same bytes, wal.log included.
+  const std::string a = temp_path("kmsproof_repro_a");
+  const std::string b = temp_path("kmsproof_repro_b");
+  ASSERT_EQ(certify(a, 1), 0);
+  ASSERT_EQ(certify(b, 1), 0);
+  const auto fa = dir_files(a), fb = dir_files(b);
+  ASSERT_TRUE(fa.count("wal.log"));
+  EXPECT_EQ(fa.size(), fb.size());
+  for (const auto& [name, bytes] : fa) {
+    const auto it = fb.find(name);
+    ASSERT_NE(it, fb.end()) << name;
+    EXPECT_TRUE(it->second == bytes) << name << " differs";
+  }
+  std::system(("rm -rf " + a + " " + b).c_str());
+}
+
+TEST(CertifyArtifactsTest, ResumeRejectsRetiredMetaKey) {
+  // A session directory written before the static pre-pass was deleted
+  // carries a `static-prepass` line in its meta record. Resuming it
+  // fails on that key (no compatibility path) and leaves every file of
+  // the directory as it was.
+  Network net = carry_skip_adder(3, 3);
+  decompose_to_simple(net);
+  const std::string in = temp_path("kmsproof_oldmeta_in.blif");
+  const std::string dir = temp_path("kmsproof_oldmeta");
+  write_blif_file(net, in);
+  std::system(("rm -rf " + dir).c_str());
+  ASSERT_EQ(exit_code(std::string(KMSCLI_PATH) + " irr " + in +
+                      " -o /dev/null --emit-proof " + dir),
+            0);
+  // Rewrite the log as an unfinished session of the old format: the
+  // meta record gains the retired key, the completion record goes.
+  const std::string wal = dir + "/wal.log";
+  const recover::WalReadResult log = recover::read_wal(wal);
+  ASSERT_TRUE(log.ok) << log.error;
+  ASSERT_GE(log.records.size(), 2u);
+  std::string meta = log.records.front().payload;
+  const auto pos = meta.find("incremental ");
+  ASSERT_NE(pos, std::string::npos);
+  meta.insert(pos, "static-prepass 1\n");
+  {
+    recover::WalWriter w = recover::WalWriter::create(wal);
+    w.append(meta);
+    for (std::size_t i = 1; i + 1 < log.records.size(); ++i)
+      w.append(log.records[i].payload);
+    w.sync();
+  }
+  const auto before = dir_files(dir);
+  const std::string err = temp_path("kmsproof_oldmeta_err");
+  const int raw =
+      std::system((std::string(KMSCLI_PATH) + " irr --resume " + dir +
+                   " -o /dev/null >/dev/null 2>" + err)
+                      .c_str());
+  ASSERT_TRUE(WIFEXITED(raw));
+  EXPECT_EQ(WEXITSTATUS(raw), 2);
+  EXPECT_NE(slurp(err).find("meta: unknown key 'static-prepass'"),
+            std::string::npos)
+      << slurp(err);
+  EXPECT_EQ(dir_files(dir), before);
+  std::remove(in.c_str());
+  std::remove(err.c_str());
+  std::system(("rm -rf " + dir).c_str());
 }
 
 }  // namespace

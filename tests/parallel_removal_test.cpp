@@ -69,24 +69,21 @@ std::vector<Network> example_circuits() {
 /// Everything an engine run is required to reproduce exactly.
 struct RunFingerprint {
   std::size_t removed = 0;
-  std::size_t static_discharged = 0;  ///< SAT queries the pre-pass avoided
   std::uint64_t blif_digest = 0;
   std::string blif;  ///< full bytes, for a readable failure message
-  /// Journal conclusions: the ordered (kind, fault) pairs of the
-  /// untestable/delete steps. Informational steps (sim-testable drops)
-  /// are schedule-dependent and deliberately excluded.
+  /// The journal, one formatted step per entry: every step, certificate
+  /// ids included, must repeat at any job count.
   std::vector<std::string> conclusions;
 };
 
 RunFingerprint run_removal(const Network& original, unsigned jobs,
                            bool incremental, RemovalOrder order,
-                           bool with_session, bool static_prepass = true) {
+                           bool with_session) {
   Network net = original.clone_compact();
   proof::ProofSession session;
   RedundancyRemovalOptions opts;
   opts.incremental = incremental;
   opts.order = order;
-  opts.static_prepass = static_prepass;
   opts.context.jobs = jobs;
   if (with_session) opts.context.session = &session;
   const RedundancyRemovalResult r = remove_redundancies(net, opts);
@@ -95,20 +92,12 @@ RunFingerprint run_removal(const Network& original, unsigned jobs,
 
   RunFingerprint fp;
   fp.removed = r.removed;
-  fp.static_discharged = r.static_discharged;
   fp.blif = write_blif_string(net);
   fp.blif_digest = proof::digest_bytes(fp.blif);
   if (with_session) {
     EXPECT_FALSE(session.journal.partial());
-    for (const proof::JournalStep& s : session.journal.steps()) {
-      if (s.kind != proof::JournalStep::Kind::kFaultUntestable &&
-          s.kind != proof::JournalStep::Kind::kDelete &&
-          s.kind != proof::JournalStep::Kind::kFaultStaticUntestable &&
-          s.kind != proof::JournalStep::Kind::kDeleteStatic)
-        continue;
-      fp.conclusions.push_back(
-          std::string(proof::journal_kind_name(s.kind)) + " " + s.what);
-    }
+    for (const proof::JournalStep& s : session.journal.steps())
+      fp.conclusions.push_back(proof::format_step(s));
   }
   return fp;
 }
@@ -160,51 +149,6 @@ TEST(ParallelRemovalTest, ExampleCircuitsBitIdenticalAcrossJobs) {
   for (const Network& net : example_circuits())
     expect_bit_identical(net, /*incremental=*/true, RemovalOrder::kForward,
                          /*with_session=*/false);
-}
-
-/// A circuit with redundancies the static rules catch: y_i = a_i AND
-/// (a_i AND b_i), where the direct a_i branch stuck-at-1 is untestable
-/// (excitation a_i=0 forces the other AND input to its controlling
-/// value through the post-dominator — the "blocked" rule, SAT-free).
-Network statically_redundant_circuit(std::size_t bits) {
-  Network net("statred");
-  for (std::size_t i = 0; i < bits; ++i) {
-    const GateId a = net.add_input("a" + std::to_string(i));
-    const GateId b = net.add_input("b" + std::to_string(i));
-    const GateId x = net.add_gate(GateKind::kAnd, {a, b}, 1.0);
-    const GateId y = net.add_gate(GateKind::kAnd, {a, x}, 1.0);
-    net.add_output("y" + std::to_string(i), y);
-  }
-  return net;
-}
-
-TEST(ParallelRemovalTest, StaticPrepassPreservesResultAcrossJobs) {
-  // The pre-pass changes HOW untestability is proved, never WHICH
-  // faults are removed: pre-pass on must reproduce the pre-pass-off
-  // network bit for bit at every job count — while actually firing
-  // (discharging SAT queries) on the statically redundant circuit.
-  std::vector<Network> nets = test_circuits();
-  nets.push_back(statically_redundant_circuit(4));
-  for (std::size_t c = 0; c < nets.size(); ++c) {
-    const RunFingerprint off =
-        run_removal(nets[c], 1, /*incremental=*/true, RemovalOrder::kForward,
-                    /*with_session=*/false, /*static_prepass=*/false);
-    EXPECT_EQ(off.static_discharged, 0u);
-    for (const unsigned jobs : kJobs) {
-      const RunFingerprint on =
-          run_removal(nets[c], jobs, /*incremental=*/true,
-                      RemovalOrder::kForward,
-                      /*with_session=*/false, /*static_prepass=*/true);
-      EXPECT_EQ(on.removed, off.removed) << "circuit=" << c << " jobs=" << jobs;
-      EXPECT_EQ(on.blif, off.blif) << "circuit=" << c << " jobs=" << jobs;
-      if (c == nets.size() - 1)
-        EXPECT_GT(on.static_discharged, 0u) << "jobs=" << jobs;
-    }
-  }
-  // The static engine is itself bit-identical across jobs, journal
-  // conclusions (including the static steps) included.
-  expect_bit_identical(nets.back(), /*incremental=*/true,
-                       RemovalOrder::kForward, /*with_session=*/true);
 }
 
 TEST(ParallelRemovalTest, JournalConclusionsIdenticalAndSessionsVerify) {
@@ -277,8 +221,8 @@ TEST(ParallelRemovalTest, StatsMergeMatchesSequentialTotals) {
     RedundancyRemovalOptions opts;
     opts.context.jobs = jobs;
     const RedundancyRemovalResult r = remove_redundancies(n, opts);
-    EXPECT_EQ(r.atpg.queries, r.atpg.sat_solves + r.atpg.structural_shortcuts +
-                                  r.atpg.static_discharged)
+    EXPECT_EQ(r.atpg.queries,
+              r.atpg.sat_solves + r.atpg.structural_shortcuts)
         << "jobs=" << jobs;
     EXPECT_EQ(r.atpg.queries, r.atpg.testable + r.atpg.untestable +
                                   r.atpg.unknown_queries)

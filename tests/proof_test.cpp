@@ -269,6 +269,30 @@ TEST(JournalTest, RejectsUnknownStepKind) {
   EXPECT_THROW(TransformJournal::read(in), std::runtime_error);
 }
 
+TEST(JournalTest, RejectsRetiredStepKinds) {
+  // Static-claim and witness-drop steps are no longer part of the
+  // format: a journal that carries one fails at the step, by kind name.
+  for (const std::string step :
+       {"fault-static-untestable proof=0 count=1 what=\"x(and)/SA1\" "
+        "just=\"site=stem:0 stuck=1 kind=unobservable\"",
+        "delete-static proof=0 what=\"x(and)/SA1\"",
+        "fault-sim-testable what=\"x(and)/SA0\""}) {
+    const std::string kind = step.substr(0, step.find(' '));
+    EXPECT_THROW(parse_step(step), std::runtime_error) << step;
+    std::istringstream in("kms-journal v1\nmodel \"m\"\ninput-digest 0\n"
+                          "step " + step +
+                          "\noutput-digest 0\nend complete\n");
+    try {
+      TransformJournal::read(in);
+      ADD_FAILURE() << "retired step kind accepted: " << step;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("unknown step kind '" + kind + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 // ---- session verification ------------------------------------------------
 
 /// Classic redundant circuit: f = ab + a'c + bc; the consensus term bc
@@ -291,7 +315,7 @@ struct CertifiedRun {
   KmsStats stats;
 };
 
-CertifiedRun certified_consensus_run(bool static_prepass = false) {
+CertifiedRun certified_consensus_run() {
   CertifiedRun run;
   Network net = read_blif_string(kConsensusBlif);
   run.input = write_blif_string(net);
@@ -299,11 +323,6 @@ CertifiedRun certified_consensus_run(bool static_prepass = false) {
   run.session.journal.set_input_digest(digest_bytes(run.input));
   KmsOptions opts;
   opts.context.session = &run.session;
-  // Default off: these tests exercise the DRAT-certificate path, and
-  // the static pre-pass would discharge the consensus redundancies
-  // SAT-free (the static journal path has its own tests below and in
-  // static_untestable_test.cpp).
-  opts.removal.static_prepass = static_prepass;
   run.stats = kms_make_irredundant(net, opts);
   run.output = write_blif_string(net);
   run.session.journal.set_output_digest(digest_bytes(run.output));
@@ -365,76 +384,6 @@ TEST(VerifySessionTest, RejectsTamperedCertificate) {
   const VerifyReport rep = verify_session(tampered, run.input, run.output);
   EXPECT_FALSE(rep.ok);
   EXPECT_NE(rep.error.find("rejected"), std::string::npos) << rep.error;
-}
-
-TEST(VerifySessionTest, CertifiedStaticRunVerifies) {
-  CertifiedRun run = certified_consensus_run(/*static_prepass=*/true);
-  ASSERT_GT(run.stats.redundancies_removed, 0u);
-  const VerifyReport rep = verify_session(run.session, run.input, run.output);
-  EXPECT_TRUE(rep.ok) << rep.error;
-  EXPECT_FALSE(rep.partial);
-  EXPECT_GT(rep.deletions_verified, 0u);
-  // The consensus redundancy is statically provable, so at least one
-  // deletion must ride on a re-derived structural claim.
-  EXPECT_GT(rep.static_checked, 0u);
-}
-
-TEST(VerifySessionTest, RejectsStaticJustificationMismatch) {
-  CertifiedRun run = certified_consensus_run(/*static_prepass=*/true);
-  TransformJournal forged;
-  forged.set_model(run.session.journal.model());
-  forged.set_input_digest(run.session.journal.input_digest());
-  forged.set_output_digest(run.session.journal.output_digest());
-  bool touched = false;
-  for (JournalStep s : run.session.journal.steps()) {
-    if (s.kind == JournalStep::Kind::kFaultStaticUntestable) {
-      s.just += " stuck=1";  // no longer the certificate's text
-      touched = true;
-    }
-    forged.add(s);
-  }
-  ASSERT_TRUE(touched);
-  run.session.journal = forged;
-  const VerifyReport rep = verify_session(run.session, run.input, run.output);
-  EXPECT_FALSE(rep.ok);
-  EXPECT_NE(rep.error.find("justification"), std::string::npos) << rep.error;
-}
-
-TEST(VerifySessionTest, RejectsForgedStaticClaim) {
-  CertifiedRun run = certified_consensus_run(/*static_prepass=*/true);
-  ASSERT_FALSE(run.session.static_certificates().empty());
-  // Consistent forgery: step text and certificate agree, but the claim
-  // itself is false (gate 0 is a primary input of the snapshot state
-  // and certainly reaches an output). Only re-derivation catches this.
-  const std::string bogus = "site=stem:0 stuck=0 kind=unobservable";
-  ProofSession tampered;
-  TransformJournal forged;
-  forged.set_model(run.session.journal.model());
-  forged.set_input_digest(run.session.journal.input_digest());
-  forged.set_output_digest(run.session.journal.output_digest());
-  for (JournalStep s : run.session.journal.steps()) {
-    if (s.kind == JournalStep::Kind::kFaultStaticUntestable) s.just = bogus;
-    forged.add(s);
-  }
-  tampered.journal = forged;
-  for (StaticCertificate c : run.session.static_certificates()) {
-    c.justification = bogus;
-    tampered.add_static_certificate(std::move(c));
-  }
-  const VerifyReport rep = verify_session(tampered, run.input, run.output);
-  EXPECT_FALSE(rep.ok);
-  EXPECT_NE(rep.error.find("rejected"), std::string::npos) << rep.error;
-}
-
-TEST(VerifySessionTest, StaticArtifactDirRoundTrip) {
-  CertifiedRun run = certified_consensus_run(/*static_prepass=*/true);
-  const std::string dir =
-      testing::TempDir() + "/kms_proof_static_artifacts_roundtrip";
-  write_artifacts(run.session, dir, run.input, run.output);
-  const VerifyReport rep = verify_artifact_dir(dir);
-  EXPECT_TRUE(rep.ok) << rep.error;
-  EXPECT_GT(rep.static_checked, 0u);
-  EXPECT_GT(rep.deletions_verified, 0u);
 }
 
 TEST(VerifySessionTest, RejectsDigestMismatch) {

@@ -1,35 +1,21 @@
-// Soundness and integrity suite for the SAT-free untestability
-// pre-pass (the static analysis tentpole):
-//
-//  * property: every static untestability verdict is confirmed by the
-//    exact SAT engine on the example corpus, random circuits and the
-//    statically-redundant generator — the rules must never be wrong;
-//  * every justification re-derives on a network parsed back from the
-//    structural snapshot it was stated against, and a tampered
-//    justification is rejected;
-//  * the pre-pass never changes the removal result, only the number of
-//    SAT queries spent reaching it;
-//  * fault injection: an aborted run never records a vacuous static
-//    verdict — static journal steps exist only for removals that were
-//    actually committed, and each one still re-derives.
+// Soundness suite for the SAT-free static untestability verdicts that
+// `kmscli analyze` and the kmslint rules NL017-NL021 report: every
+// verdict is confirmed by the exact SAT engine on the example corpus,
+// random circuits and the statically-redundant generator — the rules
+// must never be wrong — and the analysis is deterministic.
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <string>
 
 #include <gtest/gtest.h>
 
-#include "src/analysis/snapshot.hpp"
 #include "src/analysis/static_untestable.hpp"
 #include "src/atpg/atpg.hpp"
 #include "src/atpg/fault.hpp"
-#include "src/atpg/redundancy.hpp"
-#include "src/base/governor.hpp"
 #include "src/gen/adders.hpp"
 #include "src/gen/random_logic.hpp"
 #include "src/netlist/blif.hpp"
 #include "src/netlist/transform.hpp"
-#include "src/proof/journal.hpp"
 
 namespace kms {
 namespace {
@@ -38,8 +24,6 @@ namespace fs = std::filesystem;
 
 using analysis::StaticResult;
 using analysis::StaticUntestable;
-using proof::JournalStep;
-using proof::ProofSession;
 
 /// n blocks of y_i = a_i AND (a_i AND b_i): 2n statically provable
 /// (blocked) branch redundancies, nothing else.
@@ -85,13 +69,12 @@ StaticResult analyze(const StaticUntestable& engine, const Fault& f) {
 }
 
 /// The core soundness check: every static verdict on `net` must agree
-/// with the exact SAT engine, and every justification must re-derive on
-/// the snapshot. Returns the number of statically discharged faults.
+/// with the exact SAT engine. Returns the number of faults the static
+/// engine calls untestable.
 std::size_t check_soundness(const Network& net, const std::string& label) {
   const StaticUntestable engine(net);
-  Atpg exact(net);  // no oracle, no governor: verdicts are exact
+  Atpg exact(net);  // no governor: verdicts are exact
   std::size_t hits = 0;
-  Network from_snapshot;
   for (const Fault& f : collapsed_faults(net)) {
     const StaticResult r = analyze(engine, f);
     if (!r.untestable()) continue;
@@ -99,13 +82,7 @@ std::size_t check_soundness(const Network& net, const std::string& label) {
     EXPECT_EQ(exact.generate_test(f).outcome, TestOutcome::kUntestable)
         << label << ": static engine wrongly called "
         << format_fault(net, f) << " untestable ("
-        << r.justification << ")";
-    if (hits == 1)
-      from_snapshot = analysis::read_snapshot(analysis::write_snapshot(net));
-    EXPECT_EQ(analysis::verify_static_claim(from_snapshot, r.justification),
-              "")
-        << label << ": justification failed to re-derive: "
-        << r.justification;
+        << analysis::static_verdict_name(r.verdict) << ")";
   }
   return hits;
 }
@@ -119,7 +96,7 @@ TEST(StaticUntestableTest, VerdictsMatchExactSatOnExampleCorpus) {
     decompose_to_simple(model.comb);
     total += check_soundness(model.comb, entry.path().filename().string());
   }
-  // Acceptance: the pre-pass discharges at least one untestable fault
+  // Acceptance: the static engine proves at least one untestable fault
   // SAT-free on the shipped example corpus.
   EXPECT_GE(total, 1u);
 }
@@ -144,170 +121,12 @@ TEST(StaticUntestableTest, VerdictsMatchExactSatOnGeneratedCircuits) {
   EXPECT_GE(total, 8u);  // each statred block contributes two
 }
 
-TEST(StaticUntestableTest, VerifierRejectsTamperedJustifications) {
-  const Network net = statred_blocks(1);
-  const Network snap = analysis::read_snapshot(analysis::write_snapshot(net));
-  const StaticUntestable engine(net);
-  std::size_t checked = 0;
-  for (const Fault& f : collapsed_faults(net)) {
-    const StaticResult r = analyze(engine, f);
-    if (!r.untestable()) continue;
-    ++checked;
-    // Flip the claimed stuck value: the claim must stop re-deriving.
-    std::string flipped = r.justification;
-    const auto pos = flipped.find("stuck=");
-    ASSERT_NE(pos, std::string::npos);
-    flipped[pos + 6] = flipped[pos + 6] == '0' ? '1' : '0';
-    EXPECT_NE(analysis::verify_static_claim(snap, flipped), "")
-        << "tampered stuck value accepted: " << flipped;
-    // Garbage is rejected, not crashed on.
-    EXPECT_NE(analysis::verify_static_claim(snap, "site=stem:0"), "");
-    EXPECT_NE(analysis::verify_static_claim(snap, ""), "");
-  }
-  EXPECT_GT(checked, 0u);
-}
-
 TEST(StaticUntestableTest, AnalysisIsDeterministic) {
   const Network net = mixed_redundancies();
   const StaticUntestable a(net), b(net);
   for (const Fault& f : collapsed_faults(net)) {
     const StaticResult ra = analyze(a, f), rb = analyze(b, f);
     EXPECT_EQ(ra.verdict, rb.verdict);
-    EXPECT_EQ(ra.justification, rb.justification);
-  }
-}
-
-TEST(StaticUntestableTest, PrepassPreservesRemovalResultExactly) {
-  for (Network original : {statred_blocks(3), mixed_redundancies()}) {
-    Network off_net = original.clone_compact();
-    Network on_net = original.clone_compact();
-    RedundancyRemovalOptions off_opts, on_opts;
-    off_opts.static_prepass = false;
-    on_opts.static_prepass = true;
-    const auto off = remove_redundancies(off_net, off_opts);
-    const auto on = remove_redundancies(on_net, on_opts);
-    EXPECT_EQ(off.removed, on.removed);
-    EXPECT_EQ(write_blif_string(off_net), write_blif_string(on_net))
-        << "pre-pass changed the removal result";
-    EXPECT_EQ(off.static_discharged, 0u);
-    EXPECT_GT(on.static_discharged, 0u);
-    EXPECT_LT(on.sat_queries, off.sat_queries);
-    // Accounting identity: every query is a solve, a structural
-    // shortcut, or a static discharge.
-    EXPECT_EQ(on.atpg.queries, on.atpg.sat_solves +
-                                   on.atpg.structural_shortcuts +
-                                   on.atpg.static_discharged);
-  }
-}
-
-// ---- fault injection: no vacuous static verdicts -------------------------
-
-std::size_t count_steps(const ProofSession& session, JournalStep::Kind kind) {
-  std::size_t n = 0;
-  for (const JournalStep& s : session.journal.steps())
-    if (s.kind == kind) ++n;
-  return n;
-}
-
-TEST(StaticUntestableTest, InterruptedRunRecordsNoStaticVerdicts) {
-  // The oracle provably holds verdicts for this circuit...
-  Network net = statred_blocks(4);
-  EXPECT_GT(check_soundness(net, "statred_4"), 0u);
-  // ...yet a run interrupted before any commit must journal none of
-  // them: a static verdict is only recorded when its removal commits.
-  ResourceGovernor gov;
-  gov.request_interrupt();
-  ProofSession session;
-  session.journal.set_model(net.name());
-  RedundancyRemovalOptions opts;
-  opts.static_prepass = true;
-  opts.context.governor = &gov;
-  opts.context.session = &session;
-  const auto r = remove_redundancies(net, opts);
-  EXPECT_EQ(r.removed, 0u);
-  EXPECT_TRUE(r.aborted);
-  EXPECT_EQ(count_steps(session, JournalStep::Kind::kFaultStaticUntestable),
-            0u);
-  EXPECT_EQ(count_steps(session, JournalStep::Kind::kDeleteStatic), 0u);
-  EXPECT_TRUE(session.static_certificates().empty());
-}
-
-TEST(StaticUntestableTest, AbortedRunsNeverJournalVacuousStaticClaims) {
-  // Across a sweep of mid-run cancellation schedules: however far the
-  // loop got, (a) static steps come in matched pairs with their
-  // deletions, (b) every static claim cites a registered certificate
-  // whose justification re-derives on its own snapshot, and (c) the
-  // deletion count in the journal equals the removals actually applied.
-  for (std::uint64_t cancel_after = 0; cancel_after < 6; ++cancel_after) {
-    Network net = mixed_redundancies();
-    ResourceGovernor gov;
-    gov.set_injector(FaultInjector::random(/*seed=*/cancel_after + 1,
-                                           /*abort_probability=*/0.3,
-                                           cancel_after));
-    ProofSession session;
-    session.journal.set_model(net.name());
-    RedundancyRemovalOptions opts;
-    opts.static_prepass = true;
-    opts.context.governor = &gov;
-    opts.context.session = &session;
-    const auto r = remove_redundancies(net, opts);
-
-    const std::size_t claims =
-        count_steps(session, JournalStep::Kind::kFaultStaticUntestable);
-    const std::size_t static_deletes =
-        count_steps(session, JournalStep::Kind::kDeleteStatic);
-    const std::size_t sat_deletes =
-        count_steps(session, JournalStep::Kind::kDelete);
-    EXPECT_EQ(claims, static_deletes)
-        << "static claim journalled without its committed deletion";
-    EXPECT_EQ(sat_deletes + static_deletes, r.removed)
-        << "journalled deletions disagree with removals applied";
-    EXPECT_LE(claims, r.static_discharged);
-
-    ASSERT_EQ(session.static_certificates().size(), claims);
-    for (const JournalStep& s : session.journal.steps()) {
-      if (s.kind != JournalStep::Kind::kFaultStaticUntestable) continue;
-      ASSERT_GE(s.proof, 0);
-      ASSERT_LT(static_cast<std::size_t>(s.proof),
-                session.static_certificates().size());
-      const proof::StaticCertificate& cert =
-          session.static_certificates()[static_cast<std::size_t>(s.proof)];
-      ASSERT_NE(cert.snapshot, nullptr);
-      EXPECT_EQ(s.count, proof::digest_bytes(*cert.snapshot));
-      EXPECT_EQ(s.just, cert.justification);
-      const Network snap = analysis::read_snapshot(*cert.snapshot);
-      EXPECT_EQ(analysis::verify_static_claim(snap, cert.justification), "")
-          << "aborted run journalled a static claim that does not "
-          << "re-derive: " << cert.justification;
-    }
-  }
-}
-
-TEST(StaticUntestableTest, JournalStaticStepsSurviveTextRoundTrip) {
-  Network net = statred_blocks(2);
-  ProofSession session;
-  session.journal.set_model(net.name());
-  const std::string input = write_blif_string(net);
-  session.journal.set_input_digest(proof::digest_bytes(input));
-  RedundancyRemovalOptions opts;
-  opts.static_prepass = true;
-  opts.context.session = &session;
-  const auto r = remove_redundancies(net, opts);
-  EXPECT_GT(r.static_discharged, 0u);
-  session.journal.set_output_digest(
-      proof::digest_bytes(write_blif_string(net)));
-
-  std::istringstream in(session.journal.to_text());
-  const proof::TransformJournal back = proof::TransformJournal::read(in);
-  ASSERT_EQ(back.steps().size(), session.journal.steps().size());
-  for (std::size_t i = 0; i < back.steps().size(); ++i) {
-    const JournalStep& a = session.journal.steps()[i];
-    const JournalStep& b = back.steps()[i];
-    EXPECT_EQ(a.kind, b.kind);
-    EXPECT_EQ(a.proof, b.proof);
-    EXPECT_EQ(a.what, b.what);
-    EXPECT_EQ(a.just, b.just);
-    EXPECT_EQ(a.count, b.count);
   }
 }
 

@@ -244,7 +244,6 @@ Checkpoint sample_checkpoint() {
   c.cursor = 7;
   c.steps = 42;
   c.drat_certs = 5;
-  c.static_certs = 2;
   c.net_digest = 0xdeadbeefcafef00dull;
   c.rng_state = "0123456789abcdef:fedcba9876543210:0000000000000001:"
                 "00000000000000ff";
@@ -261,7 +260,7 @@ Checkpoint sample_checkpoint() {
   c.stats.removal.removed = 9;
   c.stats.removal.passes = 7;
   c.stats.removal.sat_queries = 123;
-  c.stats.removal.sim_seconds = 0.25;
+  c.stats.removal.sim_seconds = 0.25;  // wall-clock: never persisted
   c.stats.removal.sat_seconds = 1.5e-3;
   c.stats.removal.atpg.queries = 321;
   c.stats.removal.atpg.sat_conflicts = 999;
@@ -283,14 +282,20 @@ TEST(CheckpointTest, RoundTripsExactly) {
   EXPECT_EQ(d.stats.removal.atpg.sat_conflicts, 999u);
   EXPECT_DOUBLE_EQ(d.stats.initial_computed_delay,
                    c.stats.initial_computed_delay);
-  EXPECT_DOUBLE_EQ(d.stats.removal.sat_seconds, c.stats.removal.sat_seconds);
   EXPECT_TRUE(d.stats.degraded);
+  // Durable state is byte-reproducible: no wall-clock seconds in it.
+  EXPECT_EQ(text.find("seconds"), std::string::npos);
+  EXPECT_EQ(d.stats.removal.sim_seconds, 0.0);
+  EXPECT_EQ(d.stats.removal.sat_seconds, 0.0);
 }
 
 TEST(CheckpointTest, RejectsTampering) {
   const std::string text = write_checkpoint(sample_checkpoint());
-  // Unknown key.
-  EXPECT_THROW(read_checkpoint("bogus 1\n" + text), std::runtime_error);
+  // Unknown key, including the keys of older checkpoint formats.
+  for (const char* key :
+       {"bogus 1\n", "static-certs 0\n", "rm.sim_seconds 0.5\n",
+        "rm.sat_seconds 0.5\n"})
+    EXPECT_THROW(read_checkpoint(key + text), std::runtime_error) << key;
   // Truncated (missing fields).
   EXPECT_THROW(read_checkpoint(text.substr(0, text.size() / 2)),
                std::runtime_error);
@@ -314,7 +319,6 @@ TEST(SessionMetaTest, RoundTripsExactly) {
   m.jobs = 4;
   m.seed = 0x5EEDull;
   m.incremental = false;
-  m.static_prepass = true;
   m.use_fault_sim = false;
   m.random_words = 16;
   m.remove_remaining = true;

@@ -47,6 +47,21 @@ for blif in examples/*.blif; do
     --certify --emit-proof "$CERT_DIR/$name"
   "$BUILD_DIR/tools/kmsproof" "$CERT_DIR/$name"
 done
+# Reproducibility: certify artifacts hold no wall-clock data and no
+# schedule-dependent step. Two --jobs 1 runs must leave byte-identical
+# directories (wal.log included), and the journal at --jobs 4 must equal
+# the --jobs 1 one. perfbench's csa_8_2 is small enough for the
+# sanitizers yet large enough for workers to race.
+echo "-- certify reproducibility: csa_8_2"
+REPRO_IN=perfbench/inputs/csa_8_2.blif
+for run in a b; do
+  "$BUILD_DIR/tools/kmscli" irr "$REPRO_IN" -o /dev/null --certify \
+    --emit-proof "$CERT_DIR/repro_$run" 2>/dev/null
+done
+diff -r "$CERT_DIR/repro_a" "$CERT_DIR/repro_b"
+"$BUILD_DIR/tools/kmscli" irr "$REPRO_IN" -o /dev/null --certify --jobs 4 \
+  --emit-proof "$CERT_DIR/repro_j4" 2>/dev/null
+cmp "$CERT_DIR/repro_a/journal.txt" "$CERT_DIR/repro_j4/journal.txt"
 
 # ThreadSanitizer stage: rebuild under -fsanitize=thread and run the
 # parallel-labelled tests — the work-stealing removal engine's ticket
@@ -80,8 +95,8 @@ ctest --preset checked -L crash --output-on-failure
 # collapsing, snapshot round-trips) and the property suite that
 # cross-checks every SAT-free untestability verdict against the exact
 # SAT engine on the example corpus and random circuits. Run it by name
-# so a soundness regression in the pre-pass is called out even when a
-# filter in "$@" skipped it above.
+# so a soundness regression in the verdicts kmslint and `kmscli analyze`
+# report is called out even when a filter in "$@" skipped it above.
 echo "== analysis-labelled tests (checked preset) =="
 ctest --preset checked -L analysis --output-on-failure
 
@@ -101,13 +116,12 @@ echo "== bench smoke: bench_timing --json (checked preset) =="
 "$BUILD_DIR/bench/bench_timing" --json "$CERT_DIR/BENCH_timing.json" --quick
 python3 tools/validate_bench_timing.py "$CERT_DIR/BENCH_timing.json"
 
-# Bench-smoke stage: run the three-engine ATPG comparison (seed /
-# incremental / static pre-pass + incremental) on the quick circuits and
-# validate the emitted BENCH_atpg.json against its kms-bench-atpg-v2
-# schema. Fails on malformed or empty output, on any removed-count or
-# digest mismatch between the engines, on the incremental engine issuing
-# more SAT queries than the seed engine, and on the static pre-pass
-# failing to avoid any SAT query across the suite.
+# Bench-smoke stage: run the two-engine ATPG comparison (seed /
+# incremental) on the quick circuit and validate the emitted
+# BENCH_atpg.json against its kms-bench-atpg-v3 schema. Fails on
+# malformed or empty output, on any removed-count or digest mismatch
+# between the engines, and on the incremental engine not issuing
+# strictly fewer SAT queries than the seed engine.
 echo "== bench smoke: bench_atpg --json (checked preset) =="
 "$BUILD_DIR/bench/bench_atpg" --json "$CERT_DIR/BENCH_atpg.json" --quick
 python3 tools/validate_bench_atpg.py "$CERT_DIR/BENCH_atpg.json"

@@ -122,12 +122,10 @@ void print_irr_summary(const JobSpec& spec, const JobReport& r) {
   if (r.certified)
     std::fprintf(stderr,
                  "certified%s: %llu journal steps, %llu certificates, "
-                 "%llu static claims re-derived, %llu deletions "
-                 "proof-backed\n",
+                 "%llu deletions proof-backed\n",
                  r.certify_partial ? " (partial run)" : "",
                  static_cast<unsigned long long>(r.steps_checked),
                  static_cast<unsigned long long>(r.certificates_checked),
-                 static_cast<unsigned long long>(r.static_checked),
                  static_cast<unsigned long long>(r.deletions_verified));
   std::fprintf(stderr,
                "gates %llu -> %llu, delay %.3f -> %.3f (computed "
@@ -140,14 +138,13 @@ void print_irr_summary(const JobSpec& spec, const JobReport& r) {
                static_cast<unsigned long long>(r.redundancies_removed));
   std::fprintf(
       stderr,
-      "removal: %llu passes, %llu sat queries (+%llu structural, "
-      "+%llu static pre-pass), %llu sim-dropped, %llu witness-dropped, "
+      "removal: %llu passes, %llu sat queries (+%llu structural), "
+      "%llu sim-dropped, %llu witness-dropped, "
       "%llu cache hits (%llu invalidated), cone avg %.1f max %llu, "
       "sim %.3fs sat %.3fs\n",
       static_cast<unsigned long long>(r.removal_passes),
       static_cast<unsigned long long>(r.removal_sat_queries),
       static_cast<unsigned long long>(r.removal_structural_shortcuts),
-      static_cast<unsigned long long>(r.removal_static_discharged),
       static_cast<unsigned long long>(r.removal_sim_dropped),
       static_cast<unsigned long long>(r.removal_witness_dropped),
       static_cast<unsigned long long>(r.removal_cache_hits),

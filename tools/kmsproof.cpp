@@ -4,18 +4,16 @@
 //       Verify an artifact directory written by `kmscli irr --emit-proof
 //       <dir>`: parse journal.txt, replay every journal step against its
 //       local inference rule, re-check every referenced DRAT certificate
-//       from scratch, re-derive every static untestability claim on its
-//       stated structural snapshot (s<N>.snap), recompute the
-//       input/output digests from the BLIF bytes, and run the structural
-//       invariant checker on output.blif.
+//       from scratch, recompute the input/output digests from the BLIF
+//       bytes, and run the structural invariant checker on output.blif.
 //
 //   kmsproof --proof <file.cnf> <file.drat>
 //       Check a single certificate pair (any DIMACS CNF + DRAT text;
 //       "c assumption"-flagged units are treated as assumptions).
 //
 // This binary links only the proof library and its netlist/check
-// dependencies — never the solver's search code paths — so it cannot
-// inherit a solver bug. Exit code 0 when the certificate verifies, 1 on
+// dependencies — never the solver's search code paths nor the static
+// analysis engine — so it cannot inherit a bug from either. Exit code 0 when the certificate verifies, 1 on
 // usage errors, 2 on any verification failure (including unreadable or
 // forged artifacts).
 #include <cstdio>
@@ -98,9 +96,9 @@ int main(int argc, char** argv) {
     return 2;
   }
   std::printf(
-      "VERIFIED%s: %zu journal steps, %zu certificates, %zu static claims "
-      "re-derived, %zu deletions proof-backed\n",
+      "VERIFIED%s: %zu journal steps, %zu certificates, %zu deletions "
+      "proof-backed\n",
       rep.partial ? " (partial run)" : "", rep.steps_checked,
-      rep.certificates_checked, rep.static_checked, rep.deletions_verified);
+      rep.certificates_checked, rep.deletions_verified);
   return 0;
 }
