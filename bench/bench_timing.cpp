@@ -1,21 +1,21 @@
 // Incremental-STA repair cost across the KMS loop: how many gate visits
 // the dirty-cone repair spends versus the per-iteration full recompute
-// it replaces, and what that does to loop wall time.
+// it replaces (counted by the engine itself), and the loop's wall time.
 //
 // Modes:
 //   bench_timing                  human-readable table
-//   bench_timing --json <path>    kms-bench-timing-v1 JSON (schema
+//   bench_timing --json <path>    kms-bench-timing-v2 JSON (schema
 //                                 documented in DESIGN.md §15), validated
 //                                 by tools/validate_bench_timing.py
 //   bench_timing --json <path> --quick
 //                                 smallest circuits only (the CI
 //                                 bench-smoke stage)
 //
-// Both engines run the loop phase only (remove_remaining off): the final
-// removal phase recomputes nothing per iteration, so including it would
-// dilute the loop-cost signal under SAT time. The BLIF digests of the
-// two end states must match bit for bit — the engine's contract — and
-// the bench exits 2 if they ever do not.
+// The loop phase runs alone (remove_remaining off): the final removal
+// phase recomputes nothing per iteration, so including it would dilute
+// the loop-cost signal under SAT time. Exactness of the repaired tables
+// is not measured here — NL028 audits it against a full recompute after
+// every repair (tests/timing_incremental_test.cpp, --audit-timing).
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -26,32 +26,11 @@
 #include "src/core/kms.hpp"
 #include "src/gen/adders.hpp"
 #include "src/gen/suite.hpp"
-#include "src/netlist/blif.hpp"
 #include "src/netlist/transform.hpp"
-#include "src/proof/journal.hpp"
 
 using namespace kms;
 
 namespace {
-
-struct LoopRun {
-  KmsStats stats;
-  double seconds = 0.0;
-  std::uint64_t digest = 0;  ///< FNV-1a of the end state's BLIF bytes
-};
-
-LoopRun run_loop(const Network& net, bool incremental) {
-  Network copy = net.clone_compact();
-  KmsOptions opts;
-  opts.incremental_sta = incremental;
-  opts.remove_remaining = false;
-  bench::Timer t;
-  LoopRun run;
-  run.stats = kms_make_irredundant(copy, opts);
-  run.seconds = t.seconds();
-  run.digest = proof::digest_bytes(write_blif_string(copy));
-  return run;
-}
 
 struct Row {
   std::string name;
@@ -61,9 +40,7 @@ struct Row {
   std::size_t rebuilds = 0;
   std::uint64_t incremental_visits = 0;
   std::uint64_t full_visits = 0;
-  double full_seconds = 0.0;
-  double incremental_seconds = 0.0;
-  bool digest_match = false;
+  double loop_seconds = 0.0;
 
   double repaired_fraction() const {
     return full_visits > 0 ? static_cast<double>(incremental_visits) /
@@ -74,19 +51,20 @@ struct Row {
 
 Row measure(const std::string& name, Network net) {
   decompose_to_simple(net);
-  const LoopRun full = run_loop(net, /*incremental=*/false);
-  const LoopRun inc = run_loop(net, /*incremental=*/true);
   Row row;
   row.name = name;
   row.gates = net.count_gates();
-  row.iterations = inc.stats.iterations;
-  row.applies = inc.stats.sta_applies;
-  row.rebuilds = inc.stats.sta_rebuilds;
-  row.incremental_visits = inc.stats.sta_gates_repaired;
-  row.full_visits = inc.stats.sta_full_visits;
-  row.full_seconds = full.seconds;
-  row.incremental_seconds = inc.seconds;
-  row.digest_match = full.digest == inc.digest;
+  Network copy = net.clone_compact();
+  KmsOptions opts;
+  opts.remove_remaining = false;
+  bench::Timer t;
+  const KmsStats stats = kms_make_irredundant(copy, opts);
+  row.loop_seconds = t.seconds();
+  row.iterations = stats.iterations;
+  row.applies = stats.sta_applies;
+  row.rebuilds = stats.sta_rebuilds;
+  row.incremental_visits = stats.sta_gates_repaired;
+  row.full_visits = stats.sta_full_visits;
   return row;
 }
 
@@ -103,30 +81,27 @@ std::vector<std::pair<std::string, Network>> corpus(bool quick) {
 
 int run(const std::string& json_path, bool quick) {
   std::vector<Row> rows;
-  bool mismatch = false;
   for (auto& [name, net] : corpus(quick)) {
     std::fprintf(stderr, "bench_timing: %s\n", name.c_str());
     rows.push_back(measure(name, std::move(net)));
-    mismatch |= !rows.back().digest_match;
   }
 
   std::printf("KMS loop timing: incremental dirty-cone repair vs full "
               "recompute per iteration\n");
   bench::rule('=');
-  std::printf("%-10s %7s %6s %8s %10s %10s %6s %9s %9s %6s\n", "circuit",
-              "gates", "iters", "applies", "inc-visit", "full-visit", "frac",
-              "full[s]", "inc[s]", "match");
+  std::printf("%-10s %7s %6s %8s %10s %10s %6s %9s\n", "circuit", "gates",
+              "iters", "applies", "inc-visit", "full-visit", "frac",
+              "loop[s]");
   bench::rule();
   std::uint64_t sum_inc = 0, sum_full = 0;
   for (const Row& r : rows) {
     sum_inc += r.incremental_visits;
     sum_full += r.full_visits;
-    std::printf("%-10s %7zu %6zu %8zu %10llu %10llu %5.2f %9.3f %9.3f %6s\n",
+    std::printf("%-10s %7zu %6zu %8zu %10llu %10llu %5.2f %9.3f\n",
                 r.name.c_str(), r.gates, r.iterations, r.applies,
                 static_cast<unsigned long long>(r.incremental_visits),
                 static_cast<unsigned long long>(r.full_visits),
-                r.repaired_fraction(), r.full_seconds, r.incremental_seconds,
-                r.digest_match ? "yes" : "NO");
+                r.repaired_fraction(), r.loop_seconds);
   }
   bench::rule();
   std::printf("suite totals: %llu incremental visits vs %llu full "
@@ -144,7 +119,7 @@ int run(const std::string& json_path, bool quick) {
                    json_path.c_str());
       return 2;
     }
-    std::fprintf(out, "{\n  \"schema\": \"kms-bench-timing-v1\",\n");
+    std::fprintf(out, "{\n  \"schema\": \"kms-bench-timing-v2\",\n");
     std::fprintf(out, "  \"circuits\": [\n");
     for (std::size_t i = 0; i < rows.size(); ++i) {
       const Row& r = rows[i];
@@ -154,24 +129,15 @@ int run(const std::string& json_path, bool quick) {
           "\"sta_applies\": %zu, \"sta_rebuilds\": %zu,\n"
           "     \"incremental_gate_visits\": %llu, "
           "\"full_gate_visits\": %llu, \"repaired_fraction\": %.6f,\n"
-          "     \"full_seconds\": %.6f, \"incremental_seconds\": %.6f, "
-          "\"digest_match\": %s}%s\n",
+          "     \"loop_seconds\": %.6f}%s\n",
           r.name.c_str(), r.gates, r.iterations, r.applies, r.rebuilds,
           static_cast<unsigned long long>(r.incremental_visits),
           static_cast<unsigned long long>(r.full_visits),
-          r.repaired_fraction(), r.full_seconds, r.incremental_seconds,
-          r.digest_match ? "true" : "false",
+          r.repaired_fraction(), r.loop_seconds,
           i + 1 < rows.size() ? "," : "");
     }
     std::fprintf(out, "  ]\n}\n");
     std::fclose(out);
-  }
-
-  if (mismatch) {
-    std::fprintf(stderr,
-                 "bench_timing: FAILED — engines produced different end "
-                 "states\n");
-    return 2;
   }
   return 0;
 }

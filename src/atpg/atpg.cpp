@@ -94,7 +94,9 @@ TestResult Atpg::generate_test(const Fault& fault) {
   if (cone_outputs_.empty() && !session_ && !capture_) {
     ++stats_.untestable;
     ++stats_.structural_shortcuts;
-    return TestResult{TestOutcome::kUntestable, std::nullopt};
+    TestResult res;
+    res.outcome = TestOutcome::kUntestable;
+    return res;
   }
 
   // Cone-of-influence restriction: encode only the transitive fanin of

@@ -287,10 +287,6 @@ RedundancyRemovalResult remove_parallel(Network& net,
                    result);
     }
     const std::vector<std::size_t> order = scan_order(n, opts.order, rng);
-    // Rank of each fault in scan order, for the first-untestable race.
-    std::vector<std::size_t> rank(n, n);
-    for (std::size_t k = 0; k < n; ++k) rank[order[k]] = k;
-
     std::vector<Speculation> spec(n);
     for (std::size_t i = 0; i < n; ++i)
       spec[i].state.store(seed_state[i], std::memory_order_relaxed);

@@ -101,8 +101,6 @@ std::string JobSpec::validate() const {
   if (schema != kJobSchemaV1) return "unsupported schema version";
   if (mode != "static" && mode != "viability")
     return "mode must be \"static\" or \"viability\"";
-  if (sta != "incremental" && sta != "full")
-    return "sta must be \"incremental\" or \"full\"";
   if (!blif.empty() && !blif_path.empty())
     return "blif and blif_path are mutually exclusive";
   const bool has_payload = !blif.empty() || !blif_path.empty();
@@ -114,8 +112,6 @@ std::string JobSpec::validate() const {
     return "no BLIF payload (blif or blif_path required)";
   }
   if (jobs > 1024) return "jobs out of range (0..1024)";
-  if (speculate_k < 1 || speculate_k > 4096)
-    return "speculate_k out of range (1..4096)";
   if (time_limit < 0) return "time_limit must be >= 0";
   if (conflict_limit < -1) return "conflict_limit must be >= -1";
   if (!emit_proof.empty() && kind != JobKind::kIrr &&
@@ -230,7 +226,7 @@ JobReport parse_job_report(const std::string& json_text) {
     throw JobError(std::string("job report: ") + e.what());
   }
   if (!doc.is_object()) throw JobError("job report: expected a JSON object");
-  check_schema(doc, "job report", kReportSchemaV2);
+  check_schema(doc, "job report", kReportSchemaV3);
   JobReport rep;
   walk_object(doc, "job report", [&](const std::string& key, const Json& v) {
     if (key == "schema") {

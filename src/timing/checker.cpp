@@ -182,8 +182,8 @@ TimingAudit audit_timing_tables(const Network& net, const TimingTables& t,
   return audit;
 }
 
-TimingAudit audit_incremental_sta(const Network& net,
-                                  const IncrementalSta& sta, double eps) {
+TimingAudit audit_incremental_engine(const Network& net,
+                                     const IncrementalSta& sta, double eps) {
   // NL028: the bit-identity contract. Reference and incremental tables
   // evaluate identical kernels over identical operands, so the compare
   // is exact — any mismatch, even one ulp, means a missed dirty seed.
@@ -225,7 +225,7 @@ TimingAudit audit_incremental_sta(const Network& net,
 
 void enforce_timing_invariants(const Network& net, const IncrementalSta& sta,
                                const char* where) {
-  const TimingAudit audit = audit_incremental_sta(net, sta);
+  const TimingAudit audit = audit_incremental_engine(net, sta);
   if (audit.ok()) return;
   throw CheckFailure("timing invariant violation at " + std::string(where) +
                      ":\n" + audit.diagnostics.to_text("  "));

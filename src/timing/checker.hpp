@@ -10,8 +10,8 @@
 //    delay bound: a stale cone that would inflate any naive bound that
 //    maxed over all gates instead of the outputs).
 //
-//  * audit_timing_tables / audit_incremental_sta — invariant rules over
-//    computed tables: arrival monotonic along live connections (NL024),
+//  * audit_timing_tables / audit_incremental_engine — invariant rules
+//    over computed tables: arrival monotonic along live connections (NL024),
 //    slack never negative beyond float-accumulation noise (NL025), PO
 //    arrival bounded by the network delay (NL026), -infinity arrival
 //    only on constants and constant-fed cones (NL027), and — the rule
@@ -56,11 +56,11 @@ TimingAudit audit_timing_tables(const Network& net, const TimingTables& t,
 /// Full audit of an incremental engine: exact (bitwise) comparison of
 /// every maintained table against a from-scratch recompute (NL028),
 /// then the semantic rules on the maintained tables.
-TimingAudit audit_incremental_sta(const Network& net,
-                                  const IncrementalSta& sta,
-                                  double eps = 1e-9);
+TimingAudit audit_incremental_engine(const Network& net,
+                                     const IncrementalSta& sta,
+                                     double eps = 1e-9);
 
-/// audit_incremental_sta + throw CheckFailure naming `where` when any
+/// audit_incremental_engine + throw CheckFailure naming `where` when any
 /// error-severity finding fires — the timing arm of the
 /// KMS_CHECK_INVARIANTS phase checkpoints and of --audit-timing.
 void enforce_timing_invariants(const Network& net, const IncrementalSta& sta,

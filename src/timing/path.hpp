@@ -34,18 +34,6 @@ struct Path {
 /// Recompute a path's length field from the network (for validation).
 double path_length(const Network& net, const Path& p);
 
-/// FNV-1a over the path's structural identity: the source gate id and
-/// the (conn id, gate id) sequence. GateId/ConnId are tombstoned and
-/// never reused, so equal signatures on the same network name the same
-/// structural path for the whole run — the key of the speculative
-/// verdict cache (src/core/speculate.hpp). Length is deliberately
-/// excluded: it is derived state the ids already determine.
-std::uint64_t path_signature(const Path& p);
-
-/// Exact structural equality (source, conns, gates) — the collision
-/// check behind a signature match.
-bool same_path(const Path& a, const Path& b);
-
 /// Human-readable "a0 -> g3(and) -> ... -> c2" rendering.
 std::string format_path(const Network& net, const Path& p);
 

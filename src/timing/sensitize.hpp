@@ -78,11 +78,10 @@ struct StaSeed {
 /// Thread-compatibility: a Sensitizer owns its solver, encoding and
 /// proof trace outright and reads the network const; distinct instances
 /// over the same (un-mutated) network may run concurrently without
-/// synchronization, which is how the speculative KMS loop dispatches
-/// one instance per worker (src/core/speculate.cpp). A single instance
-/// is not thread-safe. The shared ResourceGovernor is thread-safe; a
-/// shared ProofSession is NOT — concurrent users must pass capture mode
-/// instead and serialize into the session on one thread.
+/// synchronization. A single instance is not thread-safe. The shared
+/// ResourceGovernor is thread-safe; a shared ProofSession is NOT —
+/// concurrent users must pass capture mode instead and serialize into
+/// the session on one thread.
 class Sensitizer {
  public:
   /// With a proof session, every kUnsat verdict from check() carries a

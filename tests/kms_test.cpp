@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "src/atpg/atpg.hpp"
+#include "src/base/governor.hpp"
+#include "src/check/checker.hpp"
 #include "src/cnf/encoder.hpp"
 #include "src/gen/adders.hpp"
 #include "src/gen/random_logic.hpp"
@@ -133,6 +135,95 @@ TEST(KmsTest, WorksOnRandomRedundantCircuits) {
     opts.allow_xor = false;
     expect_kms_contract(random_network(opts), SensitizationMode::kStatic);
   }
+}
+
+// Loop exits. The loop records why it stopped in KmsStats::loop_exit;
+// a kUnknown exit must set `degraded` so it is never mistaken for the
+// natural kSat exit.
+
+TEST(KmsTest, UnknownExitIsRecordedAndDegraded) {
+  // Every solve forced kUnknown: the first path verdict is undecided.
+  Network net = carry_skip_adder(4, 2);
+  decompose_to_simple(net);
+  ResourceGovernor gov;
+  gov.set_injector(
+      FaultInjector::random(/*seed=*/1, /*abort_probability=*/1.0));
+  KmsOptions opts;
+  opts.context.governor = &gov;
+  opts.remove_remaining = false;
+  const KmsStats stats = kms_make_irredundant(net, opts);
+  EXPECT_EQ(stats.loop_exit, "unknown");
+  EXPECT_TRUE(stats.degraded);
+  EXPECT_EQ(stats.iterations, 0u);
+}
+
+TEST(KmsTest, LoopExitReasonsCoverTheNaturalCases) {
+  {
+    Network net = carry_skip_adder(4, 2);
+    const KmsStats stats = kms_make_irredundant(net);
+    EXPECT_TRUE(stats.loop_exit == "sat" || stats.loop_exit == "no-paths")
+        << stats.loop_exit;
+    EXPECT_FALSE(stats.degraded);
+  }
+  {
+    Network net = carry_skip_adder(4, 2);
+    KmsOptions opts;
+    opts.max_iterations = 0;
+    const KmsStats stats = kms_make_irredundant(net, opts);
+    EXPECT_EQ(stats.loop_exit, "iteration-cap");
+    EXPECT_TRUE(stats.iteration_cap_hit);
+  }
+}
+
+TEST(KmsTest, PreTrippedGovernorExitsBeforeTheFirstIteration) {
+  Network net = carry_skip_adder(4, 2);
+  decompose_to_simple(net);
+  const Network original = net;
+  ResourceGovernor gov;
+  gov.request_interrupt();
+  KmsOptions opts;
+  opts.context.governor = &gov;
+  const KmsStats stats = kms_make_irredundant(net, opts);
+  EXPECT_EQ(stats.loop_exit, "governor");
+  EXPECT_EQ(stats.iterations, 0u);
+  EXPECT_EQ(stats.redundancies_removed, 0u);
+  EXPECT_TRUE(stats.degraded);
+  EXPECT_TRUE(exhaustive_equiv(original, net).equivalent);
+}
+
+TEST(KmsTest, MidLoopTripDegradesConservatively) {
+  // The governor cancels twenty queries into the loop: the result is
+  // checker-clean, equivalent and flagged degraded. A loop-free run
+  // measures the same network twice (initial and final delay columns),
+  // so half its queries is what the initial measurement costs.
+  Network net = carry_skip_adder(8, 2);
+  decompose_to_simple(net);
+  const Network original = net;
+  std::uint64_t measure_queries = 0;
+  {
+    Network probe = net;
+    ResourceGovernor counter;
+    KmsOptions opts;
+    opts.context.governor = &counter;
+    opts.max_iterations = 0;
+    opts.remove_remaining = false;
+    kms_make_irredundant(probe, opts);
+    measure_queries = counter.report().queries / 2;
+  }
+  ResourceGovernor gov;
+  gov.set_injector(FaultInjector::random(
+      /*seed=*/7, /*abort_probability=*/0.0,
+      /*cancel_after_queries=*/measure_queries + 20));
+  KmsOptions opts;
+  opts.context.governor = &gov;
+  const KmsStats stats = kms_make_irredundant(net, opts);
+  EXPECT_GT(stats.iterations, 0u);
+  EXPECT_TRUE(stats.loop_exit == "unknown" || stats.loop_exit == "governor")
+      << stats.loop_exit;
+  EXPECT_TRUE(stats.interrupted);
+  EXPECT_TRUE(stats.degraded);
+  EXPECT_EQ(NetworkChecker().run(net).error_count(), 0u);
+  EXPECT_TRUE(sat_equivalent(original, net));
 }
 
 }  // namespace

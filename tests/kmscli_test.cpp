@@ -126,6 +126,11 @@ TEST(KmscliTest, BadLimitArgumentsAreUsageErrors) {
                            " --time-limit abc >/dev/null 2>&1"), 1);
   EXPECT_EQ(run_cli_status("irr " + in_path +
                            " --conflict-limit -1 >/dev/null 2>&1"), 1);
+  // The loop has one engine; its retired selectors are unknown flags.
+  EXPECT_EQ(run_cli_status("irr " + in_path +
+                           " --speculate-k 4 >/dev/null 2>&1"), 1);
+  EXPECT_EQ(run_cli_status("irr " + in_path + " --sta full >/dev/null 2>&1"),
+            1);
   std::remove(in_path.c_str());
 }
 

@@ -186,6 +186,13 @@ TEST(JobSpecTest, UnknownKeysAndTypeMismatchesAreRejected) {
       JobError);
   EXPECT_THROW(parse_job_spec(R"({"schema":"kms-job-v1","kind":"nope"})"),
                JobError);
+  // Retired loop-engine selectors are unknown keys, not ignored ones.
+  EXPECT_THROW(parse_job_spec(
+                   R"({"schema":"kms-job-v1","kind":"irr","speculate_k":1})"),
+               JobError);
+  EXPECT_THROW(
+      parse_job_spec(R"({"schema":"kms-job-v1","kind":"irr","sta":"full"})"),
+      JobError);
 }
 
 TEST(JobSpecTest, ValidateCatchesContradictorySpecs) {
@@ -202,10 +209,6 @@ TEST(JobSpecTest, ValidateCatchesContradictorySpecs) {
   EXPECT_EQ(spec.validate(), "");
   spec.kind = JobKind::kAudit;
   EXPECT_NE(spec.validate(), "");  // resume is irr/certify-only
-  spec = JobSpec();
-  spec.blif = "x";
-  spec.speculate_k = 0;
-  EXPECT_NE(spec.validate(), "");
   spec = JobSpec();
   spec.blif = "x";
   spec.jobs = 5000;

@@ -6,9 +6,10 @@
 // consume the tables with bit-identical end states. The suite drives
 // randomized edit walks (delay/arrival changes plus the production
 // duplicate+constant surgery via kms_replay_loop_transform), checks
-// whole KMS runs end up bit-identical with the engine on vs off at
-// jobs 1 and 4, and tampers each table to prove the checker's rules
-// (NL022–NL028) actually fire.
+// whole KMS runs end with the same bytes and delays audit on vs off at
+// jobs 1 and 4, with end-state delays equal to a full-pass STA, and
+// tampers each table to prove the checker's rules (NL022–NL028)
+// actually fire.
 #include "src/timing/incremental.hpp"
 
 #include <gtest/gtest.h>
@@ -18,6 +19,7 @@
 #include <limits>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/check/checker.hpp"
@@ -58,7 +60,7 @@ void expect_tables_exact(const Network& net, const IncrementalSta& sta,
     EXPECT_EQ(sta.suffix()[i], want_suffix[i]) << ctx << " suffix g" << i;
   }
   // And the checker agrees.
-  const TimingAudit audit = audit_incremental_sta(net, sta);
+  const TimingAudit audit = audit_incremental_engine(net, sta);
   EXPECT_TRUE(audit.ok()) << ctx << "\n" << audit.diagnostics.to_text();
 }
 
@@ -197,20 +199,24 @@ TEST(IncrementalStaTest, SeededComputedDelayIsIdentical) {
   }
 }
 
-/// One full KMS run; returns (output blif, journal text, stats).
+/// One full KMS run, with or without --audit-timing (under it, NL028
+/// compares the repaired tables exactly against a full recompute after
+/// every repair and throws on any divergence). Returns the output
+/// network, its blif, the journal text and the stats.
 struct RunOutcome {
+  Network net;
   std::string blif;
   std::string journal;
   KmsStats stats;
 };
 
-RunOutcome run_kms(Network net, bool incremental, unsigned jobs) {
+RunOutcome run_kms(Network net, bool audit, unsigned jobs) {
   proof::ProofSession session;
   session.journal.set_model(net.name());
   session.journal.set_input_digest(
       proof::digest_bytes(write_blif_string(net)));
   KmsOptions opts;
-  opts.incremental_sta = incremental;
+  opts.audit_timing = audit;
   opts.context.session = &session;
   opts.context.jobs = jobs;
   RunOutcome out;
@@ -218,39 +224,53 @@ RunOutcome run_kms(Network net, bool incremental, unsigned jobs) {
   out.blif = write_blif_string(net);
   session.journal.set_output_digest(proof::digest_bytes(out.blif));
   out.journal = session.journal.to_text();
+  out.net = std::move(net);
   return out;
 }
 
 TEST(IncrementalStaTest, KmsEndStateBitIdenticalAcrossEngines) {
-  // The acceptance property: engine on vs off, jobs 1 vs 4 — same final
-  // netlist bytes, same journal bytes, same delay doubles.
+  // The loop's end state comes from the incremental tables; a from-
+  // scratch full-pass STA of the output network must report the same
+  // delay doubles. Audit on vs off and jobs 1 vs 4 give the same final
+  // netlist bytes, journal bytes and delays, and every repair of the
+  // audited runs passes the exact check.
   for (Network seed_net :
        {carry_skip_adder(4, 2), carry_skip_adder(6, 3),
         load_example("fulladder.blif"), load_example("parity4.blif"),
         load_example("counter2.blif"), load_example("statred.blif")}) {
     decompose_to_simple(seed_net);
-    const RunOutcome ref = run_kms(seed_net, /*incremental=*/false, 1);
-    for (unsigned jobs : {1u, 4u}) {
-      const RunOutcome inc = run_kms(seed_net, /*incremental=*/true, jobs);
-      EXPECT_EQ(inc.blif, ref.blif) << seed_net.name() << " jobs " << jobs;
-      EXPECT_EQ(inc.journal, ref.journal)
-          << seed_net.name() << " jobs " << jobs;
-      EXPECT_EQ(inc.stats.final_topo_delay, ref.stats.final_topo_delay);
-      EXPECT_EQ(inc.stats.final_computed_delay,
-                ref.stats.final_computed_delay);
-      EXPECT_EQ(inc.stats.final_gates, ref.stats.final_gates);
-      EXPECT_TRUE(inc.stats.sta_incremental);
-      if (inc.stats.iterations > 0) EXPECT_GT(inc.stats.sta_applies, 0u);
+    const RunOutcome ref = run_kms(seed_net, /*audit=*/false, 1);
+    EXPECT_EQ(ref.stats.final_topo_delay, topological_delay(ref.net))
+        << seed_net.name();
+    EXPECT_EQ(ref.stats.final_computed_delay,
+              computed_delay(ref.net, KmsOptions{}.mode,
+                             KmsOptions{}.max_queries)
+                  .delay)
+        << seed_net.name();
+    if (ref.stats.iterations > 0) {
+      EXPECT_GT(ref.stats.sta_applies, 0u);
     }
-    const RunOutcome full4 = run_kms(seed_net, /*incremental=*/false, 4);
-    EXPECT_EQ(full4.blif, ref.blif);
-    EXPECT_EQ(full4.journal, ref.journal);
+    for (unsigned jobs : {1u, 4u}) {
+      RunOutcome audited;
+      ASSERT_NO_THROW(audited = run_kms(seed_net, /*audit=*/true, jobs))
+          << seed_net.name() << " jobs " << jobs;
+      EXPECT_EQ(audited.blif, ref.blif) << seed_net.name() << " jobs " << jobs;
+      EXPECT_EQ(audited.journal, ref.journal)
+          << seed_net.name() << " jobs " << jobs;
+      EXPECT_EQ(audited.stats.final_topo_delay, ref.stats.final_topo_delay);
+      EXPECT_EQ(audited.stats.final_computed_delay,
+                ref.stats.final_computed_delay);
+      EXPECT_EQ(audited.stats.final_gates, ref.stats.final_gates);
+    }
+    const RunOutcome plain4 = run_kms(seed_net, /*audit=*/false, 4);
+    EXPECT_EQ(plain4.blif, ref.blif);
+    EXPECT_EQ(plain4.journal, ref.journal);
   }
 }
 
 TEST(IncrementalStaTest, KmsAuditTimingModePasses) {
   // --audit-timing cross-checks the maintained tables against a full
-  // recompute at every synced checkpoint, throwing on any divergence.
+  // recompute after every repair, throwing on any divergence.
   Network net = carry_skip_adder(6, 3);
   decompose_to_simple(net);
   KmsOptions opts;
@@ -259,14 +279,14 @@ TEST(IncrementalStaTest, KmsAuditTimingModePasses) {
 }
 
 TEST(IncrementalStaTest, SuiteCircuitEndStateMatches) {
-  // One Table-I substitute circuit through both engines (delay-optimized
-  // variant, where the loop actually fires).
+  // One Table-I substitute circuit (delay-optimized variant, where the
+  // loop actually fires) under the audit, at jobs 1 and 4.
   Network net = build_suite_circuit(benchmark_suite().front());
   decompose_to_simple(net);
-  const RunOutcome ref = run_kms(net, false, 1);
-  const RunOutcome inc = run_kms(net, true, 1);
-  EXPECT_EQ(inc.blif, ref.blif);
-  EXPECT_EQ(inc.journal, ref.journal);
+  const RunOutcome ref = run_kms(net, /*audit=*/true, 1);
+  const RunOutcome j4 = run_kms(net, /*audit=*/true, 4);
+  EXPECT_EQ(j4.blif, ref.blif);
+  EXPECT_EQ(j4.journal, ref.journal);
 }
 
 // ---------------------------------------------------------------------
@@ -393,7 +413,7 @@ TEST(TimingCheckerTest, Nl028FlagsUntracedEdit) {
   Network net = small_net();
   IncrementalSta sta(net);
   net.gate(live_logic_gates(net).front()).delay += 1.0;
-  const TimingAudit audit = audit_incremental_sta(net, sta);
+  const TimingAudit audit = audit_incremental_engine(net, sta);
   EXPECT_FALSE(audit.ok());
   EXPECT_TRUE(has_rule(audit.diagnostics, "NL028"))
       << audit.diagnostics.to_text();

@@ -294,7 +294,8 @@ TEST(CheckpointTest, RejectsTampering) {
   // Unknown key, including the keys of older checkpoint formats.
   for (const char* key :
        {"bogus 1\n", "static-certs 0\n", "rm.sim_seconds 0.5\n",
-        "rm.sat_seconds 0.5\n"})
+        "rm.sat_seconds 0.5\n", "kms.spec_batches 0\n",
+        "kms.sta_incremental 1\n"})
     EXPECT_THROW(read_checkpoint(key + text), std::runtime_error) << key;
   // Truncated (missing fields).
   EXPECT_THROW(read_checkpoint(text.substr(0, text.size() / 2)),
